@@ -24,7 +24,7 @@ use crate::error::KernelError;
 use crate::extent::ExtentTree;
 use crate::hooks::{Ctx, PageRequest};
 use crate::journal::{Journal, MetaUpdate};
-use crate::lru::{List, ShardedPageLru};
+use crate::lru::{List, PageLru};
 use crate::net::{NetStats, Packet, RxQueue};
 use crate::obj::{Backing, KernelObjectType, ObjectId, ObjectInfo, ObjectTable};
 use crate::pagecache::PageCache;
@@ -48,9 +48,8 @@ pub struct Kernel {
     disk: Disk,
     block: BlockLayer,
     readahead: Readahead,
-    /// LRU of page-cache frames, for the cache-budget shrinker
-    /// (sharded; shard count from [`KernelParams::shards`]).
-    cache_lru: ShardedPageLru,
+    /// LRU of page-cache frames, for the cache-budget shrinker.
+    cache_lru: PageLru,
     /// frame -> (inode, page index) for cached file pages.
     cache_index: CacheIndex,
     /// Live file page-cache pages (budget accounting).
@@ -88,8 +87,8 @@ impl Kernel {
             disk: Disk::nvme(),
             block: BlockLayer::new(),
             readahead: Readahead::new(params.readahead_max),
-            cache_lru: ShardedPageLru::new(params.shards),
-            cache_index: CacheIndex::new(params.shards),
+            cache_lru: PageLru::new(),
+            cache_index: CacheIndex::default(),
             cache_pages: 0,
             dirty_pages: 0,
             dirty_list: VecDeque::new(),
@@ -1895,70 +1894,37 @@ impl Kernel {
             self.cache_lru.remove(frame);
         }
     }
-
-    /// Corruption hook for sanitizer self-tests: relocates one cached
-    /// frame onto the wrong LRU shard.
-    #[doc(hidden)]
-    pub fn ksan_break_lru_homing(&mut self) {
-        self.cache_lru.ksan_break_homing();
-    }
 }
 
 /// frame -> (inode, page index) reverse map for cached file pages,
-/// direct-mapped by [`FrameId::slot`] and sharded by the slot's low bits
-/// (shard = `slot & mask`, intra-shard index = `slot >> shard_bits` — the
-/// same homing as every other sharded hot-path structure). Entries store
-/// the full frame id so a slot recycled by the frame table (fresh
-/// generation) misses instead of aliasing; the kernel removes entries on
-/// page free, so stale occupants only arise transiently and are
-/// overwritten on insert.
-#[derive(Debug)]
+/// direct-mapped by [`FrameId::slot`]. Entries store the full frame id so
+/// a slot recycled by the frame table (fresh generation) misses instead
+/// of aliasing; the kernel removes entries on page free, so stale
+/// occupants only arise transiently and are overwritten on insert.
+#[derive(Debug, Default)]
 struct CacheIndex {
-    shard_bits: u32,
-    mask: u32,
-    shards: Vec<Vec<Option<(FrameId, InodeId, u64)>>>,
+    slots: Vec<Option<(FrameId, InodeId, u64)>>,
 }
 
 impl CacheIndex {
-    fn new(shards: u32) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        CacheIndex {
-            shard_bits: count.trailing_zeros(),
-            mask: count - 1,
-            shards: (0..count).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    #[inline]
-    fn place(&self, frame: FrameId) -> (usize, usize) {
-        let slot = frame.slot();
-        (
-            (slot & self.mask) as usize,
-            (slot >> self.shard_bits) as usize,
-        )
-    }
-
     fn get(&self, frame: FrameId) -> Option<(InodeId, u64)> {
-        let (shard, i) = self.place(frame);
-        match self.shards[shard].get(i) {
+        match self.slots.get(frame.slot() as usize) {
             Some(&Some((f, ino, idx))) if f == frame => Some((ino, idx)),
             _ => None,
         }
     }
 
     fn insert(&mut self, frame: FrameId, ino: InodeId, idx: u64) {
-        let (shard, i) = self.place(frame);
-        let slots = &mut self.shards[shard];
-        if i >= slots.len() {
-            slots.resize(i + 1, None);
+        let i = frame.slot() as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
         }
-        slots[i] = Some((frame, ino, idx));
+        self.slots[i] = Some((frame, ino, idx));
     }
 
     /// Removes `frame`'s entry; returns whether it was present.
     fn remove(&mut self, frame: FrameId) -> bool {
-        let (shard, i) = self.place(frame);
-        match self.shards[shard].get_mut(i) {
+        match self.slots.get_mut(frame.slot() as usize) {
             Some(slot @ &mut Some((f, _, _))) if f == frame => {
                 *slot = None;
                 true
@@ -1967,16 +1933,10 @@ impl CacheIndex {
         }
     }
 
-    /// Iterates entries in global slot order (ascending `FrameId::slot`),
-    /// independent of the shard count.
+    /// Iterates entries in ascending [`FrameId::slot`] order.
     #[cfg(feature = "ksan")]
     fn iter(&self) -> impl Iterator<Item = (FrameId, InodeId, u64)> + '_ {
-        let depth = self.shards.iter().map(Vec::len).max().unwrap_or(0);
-        (0..depth).flat_map(move |i| {
-            self.shards
-                .iter()
-                .filter_map(move |slots| slots.get(i).copied().flatten())
-        })
+        self.slots.iter().filter_map(|e| *e)
     }
 }
 

@@ -106,7 +106,7 @@ impl Manifest {
                         }
                     }
                     "dependencies" | "dev-dependencies" | "build-dependencies" => {
-                        // `kloc-mem = { path = … }`, `serde.workspace = true`.
+                        // `kloc-mem = { path = … }`, `kloc-trace.workspace = true`.
                         let dep = key.split('.').next().unwrap_or(key);
                         m.deps.insert(dep.to_owned());
                     }

@@ -1,4 +1,4 @@
-//! Struct-of-arrays frame table with sharded free lists.
+//! Struct-of-arrays frame table.
 //!
 //! Every simulated memory access looks up its frame record, which makes
 //! the frame table the single hottest data structure in the simulator.
@@ -12,13 +12,11 @@
 //! [`FrameId`]s stay unique for the lifetime of the table: an id packs
 //! `generation << 32 | slot`, and the generation increments each time a
 //! slot is reused, so a stale id for a reused slot misses (the identity
-//! column no longer matches). Free slots are reused through
-//! [`ShardedFreeLists`], whose stamp ordering reproduces the exact
-//! global LIFO of the old single free list at any shard count.
+//! column no longer matches). Free slots are reused last-freed-first
+//! from one LIFO stack.
 
 use crate::clock::Nanos;
 use crate::frame::{Frame, FrameId, PageKind};
-use crate::shard::{ShardConfig, ShardedFreeLists};
 use crate::tenant::TenantId;
 use crate::tier::TierId;
 
@@ -73,8 +71,8 @@ pub struct FrameTable {
     tenants: Vec<TenantId>,
     /// Generation of the *next* id handed out for each slot.
     generations: Vec<u32>,
-    /// Free slots, allocated in exact global-LIFO order.
-    free: ShardedFreeLists,
+    /// Free slots; the most recently freed (last) is reused first.
+    free: Vec<u32>,
     live: usize,
 }
 
@@ -85,13 +83,8 @@ impl Default for FrameTable {
 }
 
 impl FrameTable {
-    /// Creates an empty table with the default shard config.
+    /// Creates an empty table.
     pub fn new() -> Self {
-        FrameTable::with_shards(ShardConfig::default())
-    }
-
-    /// Creates an empty table whose free lists use `cfg`.
-    pub fn with_shards(cfg: ShardConfig) -> Self {
         FrameTable {
             ids: Vec::new(),
             tiers: Vec::new(),
@@ -103,20 +96,9 @@ impl FrameTable {
             accesses: Vec::new(),
             tenants: Vec::new(),
             generations: Vec::new(),
-            free: ShardedFreeLists::new(cfg),
+            free: Vec::new(),
             live: 0,
         }
-    }
-
-    /// Re-shards the free lists in place (observation-equivalent; see
-    /// [`ShardedFreeLists::reshard`]).
-    pub fn reshard(&mut self, cfg: ShardConfig) {
-        self.free.reshard(cfg);
-    }
-
-    /// The free lists' current shard config.
-    pub fn shard_config(&self) -> ShardConfig {
-        self.free.config()
     }
 
     /// Number of live frames.
@@ -139,8 +121,8 @@ impl FrameTable {
     /// The caller builds the [`Frame`] around the id and passes it to
     /// [`FrameTable::insert`].
     pub fn next_id(&self) -> FrameId {
-        match self.free.peek() {
-            Some(slot) => pack(self.generations[slot as usize], slot),
+        match self.free.last() {
+            Some(&slot) => pack(self.generations[slot as usize], slot),
             None => {
                 let slot = self.ids.len() as u32;
                 pack(0, slot)
@@ -348,11 +330,9 @@ impl FrameTable {
 impl FrameTable {
     /// Cross-checks the table's internal invariants: every SoA column
     /// the same length, the live counter against the occupied slots, the
-    /// sharded free lists against the empty slots (disjoint entries that
-    /// partition the slot space with the live frames, local + pool
-    /// occupancy summing to the global accounting, stamps ordered within
-    /// each shard), and every identity entry against the slot holding
-    /// it. Observation only.
+    /// free list against the empty slots (distinct entries that partition
+    /// the slot space with the live frames), and every identity entry
+    /// against the slot holding it. Observation only.
     pub fn ksan_audit(&self, out: &mut Vec<crate::ksan::Violation>) {
         use crate::ksan::Violation;
         let slots = self.ids.len();
@@ -402,43 +382,19 @@ impl FrameTable {
                 format!("{} free + {} live", self.free.len(), self.live),
             ));
         }
-        let (local, pool) = self.free.occupancy();
-        let held: usize = local.iter().sum::<usize>() + pool;
-        if held != self.free.len() {
-            out.push(Violation::new(
-                "ShardedFreeLists occupancy",
-                "free lists",
-                "shard local + pool entry counts sum to the free total",
-                format!("{} free", self.free.len()),
-                format!("{} local + {pool} pool", local.iter().sum::<usize>()),
-            ));
-        }
         let mut seen = vec![false; slots];
-        let mut last_stamp = vec![0u64; local.len()];
-        for (shard, stamp, slot) in self.free.entries() {
-            if let Some(shard) = shard {
-                if stamp <= last_stamp[shard] {
-                    out.push(Violation::new(
-                        "ShardedFreeLists stamps",
-                        format!("shard {shard}"),
-                        "stamps strictly increase within a local list",
-                        format!("> {}", last_stamp[shard]),
-                        format!("{stamp}"),
-                    ));
-                }
-                last_stamp[shard] = stamp;
-            }
+        for &slot in &self.free {
             match seen.get_mut(slot as usize) {
                 Some(flag) if !*flag => *flag = true,
                 Some(_) => out.push(Violation::new(
-                    "ShardedFreeLists disjointness",
+                    "FrameTable.free entries",
                     format!("slot {slot}"),
-                    "a free slot appears in exactly one list",
+                    "a free slot appears on the free list once",
                     "one entry".to_owned(),
                     "duplicate entries".to_owned(),
                 )),
                 None => out.push(Violation::new(
-                    "ShardedFreeLists <-> FrameTable.ids",
+                    "FrameTable.free <-> FrameTable.ids",
                     format!("slot {slot}"),
                     "free-list entries name real slots",
                     format!("slot < {slots}"),
@@ -451,7 +407,7 @@ impl FrameTable {
                 .is_some_and(|id| !is_free_sentinel(*id, slot))
             {
                 out.push(Violation::new(
-                    "ShardedFreeLists <-> FrameTable.ids",
+                    "FrameTable.free <-> FrameTable.ids",
                     format!("slot {slot}"),
                     "free-list entries name empty slots",
                     "free sentinel".to_owned(),
@@ -481,18 +437,11 @@ impl FrameTable {
         self.live += 1;
     }
 
-    /// Corruption hook for sanitizer self-tests: duplicates a free-list
-    /// entry across lists, breaking shard disjointness.
+    /// Corruption hook for sanitizer self-tests: pushes `slot` onto the
+    /// free list whether or not it is already free or still occupied.
     #[doc(hidden)]
-    pub fn ksan_break_shard_duplicate(&mut self) {
-        self.free.ksan_break_duplicate();
-    }
-
-    /// Corruption hook for sanitizer self-tests: drops a free-list entry
-    /// without fixing the accounting.
-    #[doc(hidden)]
-    pub fn ksan_break_shard_accounting(&mut self) {
-        self.free.ksan_break_accounting();
+    pub fn ksan_push_free(&mut self, slot: u32) {
+        self.free.push(slot);
     }
 
     /// Corruption hook for sanitizer self-tests: grows one SoA column
@@ -652,33 +601,29 @@ mod tests {
     }
 
     #[test]
-    fn alloc_order_is_identical_at_any_shard_count() {
-        // The shard-count determinism oracle at frame-table granularity:
-        // the id sequence under churn is byte-identical for any S.
-        let run = |shards: u32| -> Vec<FrameId> {
-            let mut t = FrameTable::with_shards(ShardConfig::with_shards(shards));
-            let mut live: Vec<FrameId> = Vec::new();
-            let mut minted = Vec::new();
-            for round in 0u64..120 {
-                for _ in 0..(round % 5) + 1 {
-                    let id = t.next_id();
-                    t.insert(Frame::new(id, TierId::FAST, PageKind::AppData, Nanos::ZERO));
-                    live.push(id);
-                    minted.push(id);
-                }
-                // Deterministic churn: free from the middle.
-                for _ in 0..(round % 3) {
-                    if live.len() > 2 {
-                        let id = live.remove(live.len() / 2);
-                        t.remove(id).unwrap();
-                    }
+    fn alloc_order_is_last_freed_first() {
+        // Allocation order under churn matches a plain `Vec` LIFO model:
+        // the most recently freed slot is reused first, and a fresh slot
+        // is grown only when none is free.
+        let mut t = FrameTable::new();
+        let mut model: Vec<u32> = Vec::new();
+        let mut live: Vec<FrameId> = Vec::new();
+        for round in 0u64..120 {
+            for _ in 0..(round % 5) + 1 {
+                let expected = model.pop().unwrap_or(t.slot_capacity() as u32);
+                let id = t.next_id();
+                t.insert(Frame::new(id, TierId::FAST, PageKind::AppData, Nanos::ZERO));
+                assert_eq!(id.slot(), expected, "round {round}");
+                live.push(id);
+            }
+            // Deterministic churn: free from the middle.
+            for _ in 0..(round % 3) {
+                if live.len() > 2 {
+                    let id = live.remove(live.len() / 2);
+                    t.remove(id).unwrap();
+                    model.push(id.slot());
                 }
             }
-            minted
-        };
-        let baseline = run(1);
-        for shards in [2, 4, 8] {
-            assert_eq!(run(shards), baseline, "shards={shards}");
         }
     }
 }

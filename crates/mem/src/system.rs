@@ -34,7 +34,6 @@ const DRAIN_MAX_RETRIES: u32 = 5;
 /// relocatable frames off the tier instead of leaving them stranded on
 /// a degraded device. All zeros without the `kfault` feature.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DrainStats {
     /// Frames successfully migrated off offlining tiers.
     pub drained: u64,
@@ -236,19 +235,6 @@ impl MemorySystem {
     /// always running) is clamped to 1.
     pub fn set_cpu_parallelism(&mut self, threads: u64) {
         self.cpu_parallelism = threads.max(1);
-    }
-
-    /// Re-shards the frame table's free lists. Allocation order — and
-    /// therefore every report — is independent of the shard count (see
-    /// [`crate::shard`]); this only changes how the free slots are
-    /// partitioned.
-    pub fn set_shards(&mut self, cfg: crate::shard::ShardConfig) {
-        self.frames.reshard(cfg);
-    }
-
-    /// The frame table's current shard config.
-    pub fn shard_config(&self) -> crate::shard::ShardConfig {
-        self.frames.shard_config()
     }
 
     /// Charges per-thread CPU or I/O-stall time (computation that touches
@@ -1133,18 +1119,11 @@ impl MemorySystem {
         self.frames.ksan_break_live_count();
     }
 
-    /// Corruption hook for sanitizer self-tests: duplicates a free-list
-    /// entry across the frame table's shards.
+    /// Corruption hook for sanitizer self-tests: pushes frame slot `slot`
+    /// onto the frame table's free list, free or not.
     #[doc(hidden)]
-    pub fn ksan_break_shard_duplicate(&mut self) {
-        self.frames.ksan_break_shard_duplicate();
-    }
-
-    /// Corruption hook for sanitizer self-tests: drops a free-list entry
-    /// without fixing the shard accounting.
-    #[doc(hidden)]
-    pub fn ksan_break_shard_accounting(&mut self) {
-        self.frames.ksan_break_shard_accounting();
+    pub fn ksan_push_free_slot(&mut self, slot: u32) {
+        self.frames.ksan_push_free(slot);
     }
 
     /// Corruption hook for sanitizer self-tests: grows one frame-table

@@ -5,7 +5,7 @@
 //! `cargo test -p kloc-mem --features ksan`.
 
 use kloc_mem::ksan::{enforce, ClockMonitor, Violation};
-use kloc_mem::{MemorySystem, Nanos, PageKind, TierId, PAGE_SIZE};
+use kloc_mem::{FrameId, MemorySystem, Nanos, PageKind, TierId, PAGE_SIZE};
 
 fn audited(mem: &MemorySystem) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -47,52 +47,59 @@ fn frame_table_live_count_desync_is_caught() {
 }
 
 /// A system with free-list population: allocate then free some frames so
-/// the sharded free lists hold entries.
-fn churned() -> MemorySystem {
+/// the free list holds entries. Returns the ids of the still-live frames.
+fn churned() -> (MemorySystem, Vec<FrameId>) {
     let mut mem = MemorySystem::two_tier(16 * PAGE_SIZE, 8);
-    let ids: Vec<_> = (0..8)
+    let mut ids: Vec<_> = (0..8)
         .map(|_| mem.allocate(TierId::FAST, PageKind::AppData).unwrap())
         .collect();
-    for id in &ids[2..6] {
-        mem.free(*id).unwrap();
+    for id in ids.drain(2..6) {
+        mem.free(id).unwrap();
     }
-    mem
+    (mem, ids)
 }
 
 #[test]
 fn churned_system_audits_clean() {
-    assert_eq!(audited(&churned()), vec![]);
+    assert_eq!(audited(&churned().0), vec![]);
 }
 
 #[test]
-fn shard_free_list_duplicate_is_caught() {
-    let mut mem = churned();
-    mem.ksan_break_shard_duplicate();
+fn free_list_duplicate_is_caught() {
+    let (mut mem, _) = churned();
+    // Slot 5 was freed last, so it is already on the free list.
+    mem.ksan_push_free_slot(5);
     let out = audited(&mem);
     assert!(
         out.iter()
-            .any(|v| v.structures == "ShardedFreeLists disjointness"),
+            .any(|v| v.structures == "FrameTable.free entries" && v.object == "slot 5"),
+        "{out:#?}"
+    );
+    // The extra entry also breaks the free + live partition.
+    assert!(
+        out.iter()
+            .any(|v| v.structures == "FrameTable.free <-> FrameTable.ids"
+                && v.invariant == "free + live partition the slot space"),
         "{out:#?}"
     );
 }
 
 #[test]
-fn shard_accounting_desync_is_caught() {
-    let mut mem = churned();
-    mem.ksan_break_shard_accounting();
+fn free_entry_naming_occupied_slot_is_caught() {
+    let (mut mem, live) = churned();
+    mem.ksan_push_free_slot(live[0].slot());
     let out = audited(&mem);
-    // The free total still matches the slot space (the counter was not
-    // touched), but the lists no longer hold what the counter claims.
     assert!(
         out.iter()
-            .any(|v| v.structures == "ShardedFreeLists occupancy"),
+            .any(|v| v.structures == "FrameTable.free <-> FrameTable.ids"
+                && v.invariant == "free-list entries name empty slots"),
         "{out:#?}"
     );
 }
 
 #[test]
 fn soa_column_length_desync_is_caught() {
-    let mut mem = churned();
+    let (mut mem, _) = churned();
     mem.ksan_break_soa_column();
     let out = audited(&mem);
     assert!(

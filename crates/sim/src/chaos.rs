@@ -23,8 +23,8 @@
 //! journal must still satisfy the crash-recovery checker.
 //!
 //! Everything runs on the virtual clock in one thread, so the rendered
-//! report is byte-identical at any `--jobs` or `--shards` setting — CI
-//! diffs it across both axes.
+//! report is byte-identical at any `--jobs` setting — CI diffs it
+//! across job counts.
 
 use kloc_kernel::hooks::Ctx;
 use kloc_kernel::recovery::{check, recover};
@@ -196,15 +196,10 @@ fn drive(
     if let Some(plan) = plan {
         mem.set_fault_plan(plan);
     }
-    let mut params = KernelParams {
+    let params = KernelParams {
         page_cache_budget: scale.page_cache_frames,
         ..KernelParams::default()
     };
-    let shards = crate::engine::default_shards();
-    if shards != 0 {
-        params.shards = shards;
-    }
-    mem.set_shards(kloc_mem::ShardConfig::with_shards(params.shards));
     let mut kernel = Kernel::new(params);
     let mut workload = WorkloadKind::Tenants { budgeted: true }.build(scale);
     let specs = workload.tenant_specs();

@@ -1,20 +1,19 @@
 //! Determinism contract of the multi-tenant runs: the per-tenant
 //! breakdown (and the whole report it rides in) is byte-identical at any
-//! runner worker count and any shard count, with budgets on or off. The
-//! tenant bookkeeping (owner stamping, self-eviction FIFOs, cross-
-//! eviction attribution) must not observe scheduling or sharding.
+//! runner worker count, with budgets on or off. The tenant bookkeeping
+//! (owner stamping, self-eviction FIFOs, cross-eviction attribution)
+//! must not observe scheduling.
 //!
 //! The trace-bytes half of this contract lives in `trace_run.rs`, which
 //! owns the process-global trace session mutex.
 
-use kloc_kernel::KernelParams;
 use kloc_policy::PolicyKind;
 use kloc_sim::engine::{Platform, RunConfig, RunReport};
 use kloc_sim::Runner;
 use kloc_workloads::{Scale, WorkloadKind};
 
 /// Both tenant modes under the two policies the experiment exercises.
-fn matrix(scale: &Scale, shards: Option<u32>) -> Vec<RunConfig> {
+fn matrix(scale: &Scale) -> Vec<RunConfig> {
     let mut configs = Vec::new();
     for budgeted in [false, true] {
         for policy in [PolicyKind::Kloc, PolicyKind::Naive] {
@@ -26,11 +25,7 @@ fn matrix(scale: &Scale, shards: Option<u32>) -> Vec<RunConfig> {
                     fast_bytes: scale.fast_bytes,
                     bw_ratio: 8,
                 },
-                kernel_params: shards.map(|shards| KernelParams {
-                    page_cache_budget: scale.page_cache_frames,
-                    shards,
-                    ..KernelParams::default()
-                }),
+                kernel_params: None,
                 faults: None,
                 budgets: Vec::new(),
             });
@@ -51,7 +46,7 @@ fn assert_same_reports(baseline: &[RunReport], got: &[RunReport], what: &str) {
 fn tenant_reports_independent_of_worker_count() {
     let scale = Scale::tiny();
     let baseline = Runner::new(1)
-        .run_all(matrix(&scale, None))
+        .run_all(matrix(&scale))
         .expect("tenant matrix");
     assert!(
         baseline.iter().all(|r| r.tenants.len() == 3),
@@ -59,23 +54,9 @@ fn tenant_reports_independent_of_worker_count() {
     );
     for jobs in [2usize, 8] {
         let got = Runner::new(jobs)
-            .run_all(matrix(&scale, None))
+            .run_all(matrix(&scale))
             .expect("tenant matrix");
         assert_same_reports(&baseline, &got, &format!("--jobs {jobs}"));
-    }
-}
-
-#[test]
-fn tenant_reports_independent_of_shard_count() {
-    let scale = Scale::tiny();
-    let baseline = Runner::serial()
-        .run_all(matrix(&scale, Some(1)))
-        .expect("tenant matrix");
-    for shards in [2u32, 4, 8] {
-        let got = Runner::serial()
-            .run_all(matrix(&scale, Some(shards)))
-            .expect("tenant matrix");
-        assert_same_reports(&baseline, &got, &format!("--shards {shards}"));
     }
 }
 
