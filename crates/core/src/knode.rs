@@ -65,14 +65,9 @@ pub struct Knode {
     /// migration collects it directly instead of deduplicating the
     /// member tables on every call.
     frames: FrameRefs,
-    /// Cached ascending view of `frames` (the report-visible migration
-    /// order). Mutations that change the distinct frame set only mark
-    /// it stale; `collect_member_frames` re-sorts at most once per
-    /// change, so repeated policy-tick walks over an unchanged knode
-    /// sort nothing.
-    sorted_frames: RefCell<Vec<FrameId>>,
-    /// Whether `sorted_frames` no longer reflects `frames`.
-    frames_stale: Cell<bool>,
+    /// Ascending view of `frames` (the report-visible migration order),
+    /// maintained incrementally between walks; see [`MemberView`].
+    view: RefCell<MemberView>,
     /// Memoized outcome of a *settled* en-masse migration walk:
     /// `(target tier, ping-pong skips the walk charges, external
     /// migration epoch)`. While valid, a repeat walk toward the same
@@ -104,8 +99,7 @@ impl Knode {
             cache: MemberMap::default(),
             slab: MemberMap::default(),
             frames: FrameRefs::default(),
-            sorted_frames: RefCell::new(Vec::new()),
-            frames_stale: Cell::new(false),
+            view: RefCell::new(MemberView::default()),
             enmasse_cache: Cell::new(None),
             demote_bound: Cell::new(None),
         }
@@ -186,11 +180,16 @@ impl Knode {
         };
         let mut changed = false;
         if let Some(old) = prev {
-            changed |= self.frames.unref(old);
+            if self.frames.unref(old) {
+                self.view.get_mut().note_removed(self.frames.len());
+                changed = true;
+            }
         }
-        changed |= self.frames.add(frame);
+        if self.frames.add(frame) {
+            self.view.get_mut().note_added(frame, self.frames.len());
+            changed = true;
+        }
         if changed {
-            self.frames_stale.set(true);
             self.clear_walk_caches();
         }
         tree
@@ -202,7 +201,7 @@ impl Knode {
         match frame {
             Some(f) => {
                 if self.frames.unref(f) {
-                    self.frames_stale.set(true);
+                    self.view.get_mut().note_removed(self.frames.len());
                     self.clear_walk_caches();
                 }
                 true
@@ -240,32 +239,20 @@ impl Knode {
         self.frames.for_each(|frame, _| f(frame));
     }
 
-    /// Replaces `out` with the deduplicated frames backing all members,
-    /// ascending by full `FrameId` — the unit of en-masse migration
-    /// (paper §4.4: "kernel objects pointed to by a knode subtree are
-    /// migrated" together). The order is report-visible, so it is
-    /// derived (collect + sort) rather than maintained per touch — but
-    /// cached: the sort reruns only after the distinct frame set
-    /// changed, so per-tick walks over a quiescent knode cost one copy.
-    pub fn collect_member_frames(&self, out: &mut Vec<FrameId>) {
-        self.with_member_frames(|frames| {
-            out.clear();
-            out.extend_from_slice(frames);
-        });
-    }
-
-    /// Zero-copy variant of [`Knode::collect_member_frames`]: hands the
-    /// closure the same ascending deduplicated frame slice without
-    /// copying it out. The slice is borrowed from the knode's sort
-    /// cache, so the closure must not re-enter member mutation (the
+    /// Hands `f` the deduplicated frames backing all members, ascending
+    /// by full `FrameId` — the unit of en-masse migration (paper §4.4:
+    /// "kernel objects pointed to by a knode subtree are migrated"
+    /// together). The order is report-visible, so it is derived rather
+    /// than maintained per touch, but cached: frames added since the
+    /// last walk are sorted on their own and merged into the cached
+    /// view, so a walk over a knode that gained k frames costs
+    /// O(m + k log k), and one over a quiescent knode sorts nothing.
+    /// The work done is tallied in `work`. The slice is borrowed from
+    /// the cache, so `f` must not re-enter member mutation (the
     /// migration walks only touch the memory system).
-    pub fn with_member_frames<R>(&self, f: impl FnOnce(&[FrameId]) -> R) -> R {
-        if self.frames_stale.get() {
-            self.frames
-                .collect_sorted(&mut self.sorted_frames.borrow_mut());
-            self.frames_stale.set(false);
-        }
-        f(&self.sorted_frames.borrow())
+    pub fn with_member_frames<R>(&self, work: &ViewWork, f: impl FnOnce(&[FrameId]) -> R) -> R {
+        self.view.borrow_mut().refresh(&self.frames, work);
+        f(&self.view.borrow().sorted)
     }
 
     /// Drops both migration-walk memoizations. Called whenever the
@@ -303,12 +290,142 @@ impl Knode {
         self.frames.len()
     }
 
-    /// Deduplicated frames backing all members, collected ascending.
+    /// Deduplicated frames backing all members, collected ascending
+    /// (an uncounted [`Knode::with_member_frames`]).
     pub fn member_frames(&self) -> Vec<FrameId> {
-        let mut out = Vec::new();
-        self.collect_member_frames(&mut out);
-        out
+        self.with_member_frames(&ViewWork::default(), <[FrameId]>::to_vec)
     }
+}
+
+/// Deterministic work probes for member-view upkeep, tallied by
+/// [`Knode::with_member_frames`]. Diagnostic only, like
+/// [`crate::Kmap::knodes_examined`]: nothing report-visible reads them.
+#[derive(Debug, Default)]
+pub struct ViewWork {
+    sorted: Cell<u64>,
+    merged: Cell<u64>,
+}
+
+impl ViewWork {
+    /// Frames passed through a full sort of a knode's member view.
+    pub fn frames_sorted(&self) -> u64 {
+        self.sorted.get()
+    }
+
+    /// Newly tracked frames merged into a cached member view.
+    pub fn adds_merged(&self) -> u64 {
+        self.merged.get()
+    }
+}
+
+/// A knode's ordered member view plus the delta since it was last
+/// brought up to date. Invariant while `built`: `sorted` (ascending,
+/// duplicate-free) together with `pending` covers every tracked frame,
+/// and `pending.len() <= frames.len()`. `sorted` may still hold frames
+/// that left the set, but only while `removed` is set.
+#[derive(Debug, Clone, Default)]
+struct MemberView {
+    sorted: Vec<FrameId>,
+    /// Frames newly tracked since the last refresh, unordered.
+    pending: Vec<FrameId>,
+    /// Whether `sorted` + `pending` is a usable base. Unset for a view
+    /// never walked (so a knode that is never walked records no adds)
+    /// and after an overflow; the next refresh re-collects in full.
+    built: bool,
+    /// Whether some frame left the set since the last refresh.
+    removed: bool,
+}
+
+impl MemberView {
+    /// Records a newly tracked frame; `len` is the frame count after
+    /// the add. Once the adds catch up with the frame count, a full
+    /// re-collect is no dearer than a merge, so the delta is dropped.
+    fn note_added(&mut self, frame: FrameId, len: usize) {
+        if self.built {
+            self.pending.push(frame);
+            if self.pending.len() >= len {
+                self.invalidate();
+            }
+        }
+    }
+
+    /// Records that a frame left the set; `len` is the frame count
+    /// after the removal.
+    fn note_removed(&mut self, len: usize) {
+        if self.built {
+            self.removed = true;
+            if self.pending.len() > len {
+                self.invalidate();
+            }
+        }
+    }
+
+    fn invalidate(&mut self) {
+        self.built = false;
+        self.pending = Vec::new();
+    }
+
+    /// Brings `sorted` up to date with `frames`.
+    fn refresh(&mut self, frames: &FrameRefs, work: &ViewWork) {
+        if !self.built {
+            frames.collect_sorted(&mut self.sorted);
+            work.sorted
+                .set(work.sorted.get() + self.sorted.len() as u64);
+            self.built = true;
+            self.removed = false;
+            return;
+        }
+        if self.removed {
+            // Drop departed frames; a frame that left and came back
+            // is in both lists, and one added then dropped before this
+            // walk sits in `pending` with no references.
+            self.sorted.retain(|&f| frames.count(f) > 0);
+            self.pending.retain(|&f| frames.count(f) > 0);
+        }
+        if self.pending.is_empty() {
+            self.removed = false;
+            return;
+        }
+        self.pending.sort_unstable();
+        if self.removed {
+            self.pending.dedup();
+        }
+        merge_into(&mut self.sorted, &self.pending);
+        work.merged
+            .set(work.merged.get() + self.pending.len() as u64);
+        self.pending.clear();
+        self.removed = false;
+    }
+}
+
+/// Merges ascending `adds` into ascending `dst` in place, back to
+/// front, keeping one copy of any frame present in both. `dst` grows
+/// by exactly what it needs: a doubling growth on these long-lived
+/// views shows up in peak RSS.
+fn merge_into(dst: &mut Vec<FrameId>, adds: &[FrameId]) {
+    let mut i = dst.len();
+    let mut j = adds.len();
+    dst.reserve_exact(j);
+    dst.resize(i + j, FrameId(0));
+    // Writes land at `w >= i`, so unread `dst[..i]` is never clobbered.
+    let mut w = i + j;
+    while j > 0 {
+        w -= 1;
+        let add = adds[j - 1];
+        if i > 0 && dst[i - 1] >= add {
+            if dst[i - 1] == add {
+                j -= 1;
+            }
+            dst[w] = dst[i - 1];
+            i -= 1;
+        } else {
+            dst[w] = add;
+            j -= 1;
+        }
+    }
+    // Each shared frame left one slot unused between the untouched
+    // prefix and the merged tail.
+    dst.drain(i..w);
 }
 
 #[cfg(feature = "ksan")]
@@ -346,18 +463,9 @@ impl Knode {
                 format!("{refs:?}"),
             ));
         }
-        if !self.frames_stale.get() {
-            let mut fresh = Vec::new();
-            self.frames.collect_sorted(&mut fresh);
-            if *self.sorted_frames.borrow() != fresh {
-                out.push(Violation::new(
-                    "Knode.sorted_frames cache <-> Knode.frames",
-                    format!("{}", self.inode),
-                    "a cache not marked stale matches a fresh collect",
-                    format!("{fresh:?}"),
-                    format!("{:?}", self.sorted_frames.borrow()),
-                ));
-            }
+        let view = self.view.borrow();
+        if view.built {
+            self.ksan_audit_view(&view, out);
         }
         for (label, check) in [
             ("rbtree-cache", self.cache.ksan_check()),
@@ -373,6 +481,50 @@ impl Knode {
                     err,
                 ));
             }
+        }
+    }
+
+    /// Audits a built member view: it must cover every tracked frame,
+    /// in the cache or pending (a lost add would drop that frame from
+    /// en-masse migration), with no more adds pending than frames
+    /// tracked; once up to date it must equal a fresh collect.
+    fn ksan_audit_view(&self, view: &MemberView, out: &mut Vec<kloc_mem::ksan::Violation>) {
+        use kloc_mem::ksan::Violation;
+        let mut fresh = Vec::new();
+        self.frames.collect_sorted(&mut fresh);
+        let mut pending = view.pending.clone();
+        pending.sort_unstable();
+        let lost: Vec<FrameId> = fresh
+            .iter()
+            .copied()
+            .filter(|f| view.sorted.binary_search(f).is_err() && pending.binary_search(f).is_err())
+            .collect();
+        if !lost.is_empty() {
+            out.push(Violation::new(
+                "Knode.frames <-> Knode.sorted_frames cache + pending adds",
+                format!("{}", self.inode),
+                "every tracked frame is in the cached view or pending",
+                "no frame missing".to_owned(),
+                format!("missing {lost:?}"),
+            ));
+        }
+        if view.pending.len() > self.frames.len() {
+            out.push(Violation::new(
+                "Knode pending adds <-> Knode.frames",
+                format!("{}", self.inode),
+                "no more adds pending than frames tracked",
+                format!("<= {}", self.frames.len()),
+                format!("{}", view.pending.len()),
+            ));
+        }
+        if view.pending.is_empty() && !view.removed && view.sorted != fresh {
+            out.push(Violation::new(
+                "Knode.sorted_frames cache <-> Knode.frames",
+                format!("{}", self.inode),
+                "an up-to-date cache matches a fresh collect",
+                format!("{fresh:?}"),
+                format!("{:?}", view.sorted),
+            ));
         }
     }
 
@@ -398,11 +550,21 @@ impl Knode {
     }
 
     /// Corruption hook for sanitizer self-tests: plants a bogus frame
-    /// in the sorted-frame cache while leaving it marked clean.
+    /// in the sorted-frame cache while leaving it marked up to date.
     #[doc(hidden)]
     pub fn ksan_break_frame_cache(&mut self) {
-        self.sorted_frames.borrow_mut().push(FrameId(0xBAD));
-        self.frames_stale.set(false);
+        let view = self.view.get_mut();
+        view.sorted.push(FrameId(0xBAD));
+        view.pending.clear();
+        view.built = true;
+        view.removed = false;
+    }
+
+    /// Corruption hook for sanitizer self-tests: forgets the most
+    /// recent pending add, so the view no longer covers that frame.
+    #[doc(hidden)]
+    pub fn ksan_break_drop_pending_add(&mut self) {
+        self.view.get_mut().pending.pop();
     }
 
     /// Test-only wrapper over the crate-private inuse transition so

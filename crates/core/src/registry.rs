@@ -25,7 +25,7 @@ use kloc_kernel::vfs::InodeId;
 use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
 
 use crate::kmap::Kmap;
-use crate::knode::Knode;
+use crate::knode::{Knode, ViewWork};
 use crate::percpu::PerCpuKnodeLists;
 
 /// Configuration of the KLOC subsystem (the `sys_enable_kloc` /
@@ -115,6 +115,12 @@ pub struct KlocRegistry {
     /// [`TenantId::index`] — the shared-inode / shared-socket
     /// attribution signal of the multi-tenant model.
     shared_accesses: Vec<u64>,
+    /// Diagnostic probe: member frames examined by the migration walks.
+    /// Like [`Kmap::knodes_examined`], kept out of [`KlocStats`] so
+    /// reports are unchanged.
+    frames_probed: u64,
+    /// Diagnostic probes of member-view upkeep (full sorts, merges).
+    view_work: ViewWork,
 }
 
 impl KlocRegistry {
@@ -129,6 +135,8 @@ impl KlocRegistry {
             extern_demotions: 0,
             owners: Vec::new(),
             shared_accesses: Vec::new(),
+            frames_probed: 0,
+            view_work: ViewWork::default(),
             config,
         }
     }
@@ -151,6 +159,19 @@ impl KlocRegistry {
     /// The per-CPU fast-path lists.
     pub fn percpu(&self) -> &PerCpuKnodeLists {
         &self.percpu
+    }
+
+    /// Member frames examined so far by [`KlocRegistry::migrate_knode`]
+    /// and its variants, [`KlocRegistry::demote_cold_members`] and
+    /// [`KlocRegistry::promote_hot_members`] — a deterministic work
+    /// count for the walks.
+    pub fn frames_probed(&self) -> u64 {
+        self.frames_probed
+    }
+
+    /// Work spent keeping the knodes' ordered member views current.
+    pub fn view_work(&self) -> &ViewWork {
+        &self.view_work
     }
 
     /// Whether `ty` participates in KLOC management.
@@ -366,21 +387,6 @@ impl KlocRegistry {
         self.kmap.get(inode).map(Knode::inuse)
     }
 
-    /// Inactive knodes whose last activity is older than `min_idle`
-    /// before `now`, oldest first.
-    pub fn cold_knodes(&self, now: Nanos, min_idle: Nanos) -> Vec<InodeId> {
-        self.kmap
-            .inactive_knodes()
-            .into_iter()
-            .filter(|i| {
-                self.kmap
-                    .get(*i)
-                    .map(|k| now.saturating_sub(k.last_active()) >= min_idle)
-                    .unwrap_or(false)
-            })
-            .collect()
-    }
-
     /// Appends to `out` the first `max` inodes, in inode order, of
     /// inactive knodes aged at least `min_age` that still track members
     /// — the per-tick demotion batch, read off the kmap's incrementally
@@ -474,13 +480,15 @@ impl KlocRegistry {
         let mut moved = 0;
         let mut settled = true;
         let mut promoted_shared = false;
-        k.with_member_frames(|frames| {
+        let mut probed = 0;
+        k.with_member_frames(&self.view_work, |frames| {
             for &frame in frames {
                 if moved >= max_pages {
                     // Budget break: movable frames may remain.
                     settled = false;
                     break;
                 }
+                probed += 1;
                 // Tier-only probe first: frames already on the target
                 // tier (the bulk of a re-walked knode) cost one column
                 // read, not the full meta materialization.
@@ -520,6 +528,7 @@ impl KlocRegistry {
                 k.clear_walk_caches();
             }
         }
+        self.frames_probed += probed;
         self.stats.pingpong_skips += pingpong_skips;
         if moved > 0 {
             if demoting {
@@ -565,12 +574,14 @@ impl KlocRegistry {
         let mut moved = 0;
         let mut settled = true;
         let mut next_candidacy = u64::MAX;
-        k.with_member_frames(|frames| {
+        let mut probed = 0;
+        k.with_member_frames(&self.view_work, |frames| {
             for &frame in frames {
                 if moved >= max_pages {
                     settled = false;
                     break;
                 }
+                probed += 1;
                 // Recency first: most members of an active knode were
                 // touched within `older_than`, so the common reject
                 // path reads one column. Folding too-recent frames into
@@ -604,6 +615,7 @@ impl KlocRegistry {
         if settled {
             k.set_demote_bound(older_than, Nanos::new(next_candidacy), epoch);
         }
+        self.frames_probed += probed;
         if moved > 0 {
             self.stats.pages_demoted += moved;
             self.emit_kloc_migrate(inode, mem, "demote", "members", moved);
@@ -628,11 +640,13 @@ impl KlocRegistry {
         let now = mem.now();
         let mut moved = 0;
         let mut promoted_shared = false;
-        k.with_member_frames(|frames| {
+        let mut probed = 0;
+        k.with_member_frames(&self.view_work, |frames| {
             for &frame in frames {
                 if moved >= max_pages {
                     break;
                 }
+                probed += 1;
                 // Frames already fast (the bulk of a hot knode) are
                 // rejected on the tier-only probe.
                 match mem.tier_if_live(frame) {
@@ -651,6 +665,7 @@ impl KlocRegistry {
                 }
             }
         });
+        self.frames_probed += probed;
         if moved > 0 {
             if promoted_shared {
                 // Packed frames are shared with other knodes: every
@@ -707,10 +722,9 @@ impl KlocRegistry {
 
     /// Frames backing all members of `inode`'s knode (deduplicated).
     pub fn member_frames(&self, inode: InodeId) -> Vec<FrameId> {
-        self.kmap
-            .get(inode)
-            .map(Knode::member_frames)
-            .unwrap_or_default()
+        self.kmap.get(inode).map_or_else(Vec::new, |k| {
+            k.with_member_frames(&self.view_work, <[FrameId]>::to_vec)
+        })
     }
 
     /// Number of distinct frames backing members of `inode`'s knode —
@@ -822,27 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_knodes_respect_idle_threshold() {
-        let mut r = KlocRegistry::new(KlocConfig::default());
-        r.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
-        r.inode_created(InodeId(2), CpuId(0), Nanos::from_millis(10));
-        r.inode_closed(InodeId(1), Nanos::ZERO);
-        r.inode_closed(InodeId(2), Nanos::ZERO);
-        let now = Nanos::from_millis(11);
-        // Only inode 1 has been idle >= 5ms.
-        assert_eq!(r.cold_knodes(now, Nanos::from_millis(5)), vec![InodeId(1)]);
-        // Reopening makes it hot again.
-        r.inode_opened(InodeId(1), CpuId(0), now);
-        assert!(
-            r.cold_knodes(now, Nanos::ZERO).is_empty() || {
-                // inode 2 is still inactive with 1ms idle; with zero threshold
-                // it is cold.
-                r.cold_knodes(now, Nanos::ZERO) == vec![InodeId(2)]
-            }
-        );
-    }
-
-    #[test]
     fn migrate_knode_moves_members_en_masse() {
         let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
         let mut r = KlocRegistry::new(KlocConfig::default());
@@ -932,6 +925,50 @@ mod tests {
         assert!(
             with * 2 < without,
             "fast path must cut tree accesses >50%: {with} vs {without}"
+        );
+    }
+
+    #[test]
+    fn walks_merge_new_frames_instead_of_resorting() {
+        use crate::members::FrameRefs;
+        let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
+        let mut r = KlocRegistry::new(KlocConfig::default());
+        r.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
+        let i = info(KernelObjectType::PageCache, 1);
+        // An odd multiplier permutes 0..2^20, so insertion order
+        // disagrees with frame order and no two objects share a frame.
+        let frame = |n: u64| FrameId(n.wrapping_mul(2_654_435_761) & ((1 << 20) - 1));
+        let add = |r: &mut KlocRegistry, ns: std::ops::Range<u64>| {
+            for n in ns {
+                r.object_allocated(ObjectId(n), &i, frame(n), CpuId(0), Nanos::ZERO);
+            }
+        };
+        add(&mut r, 0..4096);
+        r.promote_hot_members(InodeId(1), &mut mem, Nanos::ZERO, u64::MAX);
+        assert_eq!(
+            r.view_work().frames_sorted(),
+            4096,
+            "first walk sorts in full"
+        );
+        assert_eq!(r.frames_probed(), 4096);
+
+        add(&mut r, 4096..4104);
+        r.promote_hot_members(InodeId(1), &mut mem, Nanos::ZERO, u64::MAX);
+        assert_eq!(r.view_work().frames_sorted(), 4096, "no second full sort");
+        assert_eq!(r.view_work().adds_merged(), 8, "only the new frames sorted");
+        assert_eq!(r.frames_probed(), 4096 + 4104);
+
+        let mut refs = FrameRefs::default();
+        (0..4104).for_each(|n| {
+            refs.add(frame(n));
+        });
+        let mut want = Vec::new();
+        refs.collect_sorted(&mut want);
+        assert_eq!(r.member_frames(InodeId(1)), want);
+        assert_eq!(
+            r.view_work().frames_sorted(),
+            4096,
+            "an up-to-date view sorts nothing"
         );
     }
 

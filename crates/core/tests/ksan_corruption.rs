@@ -154,6 +154,31 @@ fn stale_sorted_frame_cache_is_caught() {
 }
 
 #[test]
+fn lost_pending_add_is_caught() {
+    use kloc_kernel::{KernelObjectType, ObjectId};
+    use kloc_mem::FrameId;
+    let mut kmap = Kmap::new();
+    let mut knode = Knode::new(InodeId(9), Nanos::ZERO);
+    for n in 0..4 {
+        knode.add_obj(ObjectId(n), KernelObjectType::PageCache, FrameId(10 + n));
+    }
+    // Build the view, then add a frame the next walk merges in.
+    knode.member_frames();
+    knode.add_obj(ObjectId(4), KernelObjectType::PageCache, FrameId(3));
+    kmap.map_knode(knode);
+    assert_eq!(audited(&kmap), vec![], "a pending add is covered");
+    kmap.with_knode_mut(InodeId(9), |k, _| k.ksan_break_drop_pending_add());
+    let out = audited(&kmap);
+    assert!(
+        out.iter().any(|v| v.structures
+            == "Knode.frames <-> Knode.sorted_frames cache + pending adds"
+            && v.object == "inode9"
+            && v.actual.contains(&format!("{:?}", FrameId(3)))),
+        "{out:#?}"
+    );
+}
+
+#[test]
 fn cold_index_desync_is_caught() {
     let mut kmap = kmap_with(&[], &[5]);
     kmap.advance_epoch();

@@ -2,15 +2,20 @@
 //! `FrameRefs` must behave exactly like the `BTreeMap`s they replaced —
 //! including around recycled slots, where a stale `ObjectId` probing a
 //! reused slot must miss on the full-id compare rather than false-hit.
+//! A knode's incrementally merged member view must likewise always
+//! equal the ordered set of frames its members map to.
 //!
 //! Sequences come from the in-tree seeded `SplitMix64` PRNG (fixed
 //! seeds, so failures reproduce exactly).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use kloc_core::knode::ViewWork;
 use kloc_core::members::{FrameRefs, MemberMap};
-use kloc_kernel::ObjectId;
-use kloc_mem::{FrameId, SplitMix64};
+use kloc_core::{Kmap, Knode};
+use kloc_kernel::vfs::InodeId;
+use kloc_kernel::{KernelObjectType, ObjectId};
+use kloc_mem::{FrameId, Nanos, SplitMix64};
 
 /// Draws an `ObjectId` from a pool sized to force heavy slot reuse:
 /// low bits collide across ids whose high bits differ, so recycled
@@ -97,4 +102,101 @@ fn frame_refs_match_refcount_model() {
         let want: Vec<FrameId> = model.keys().copied().collect();
         assert_eq!(got, want, "case {case}: sorted frames");
     }
+}
+
+/// A frame id whose slot (low 32 bits) collides across generations, so
+/// full-id order disagrees with slot order: `(gen << 32) | slot`.
+fn gen_frame(rng: &mut SplitMix64) -> FrameId {
+    FrameId((rng.gen_below(3) << 32) | rng.gen_below(24))
+}
+
+/// Fixed per object, so an object always lands in the same member table
+/// (odd ids share slab frames, even ids are page-backed).
+fn obj_type(obj: ObjectId) -> KernelObjectType {
+    if obj.0.is_multiple_of(2) {
+        KernelObjectType::PageCache
+    } else {
+        KernelObjectType::Dentry
+    }
+}
+
+#[test]
+fn knode_member_view_matches_btreeset_model() {
+    let ino = InodeId(1);
+    let (mut rebuilds, mut merges) = (0u32, 0u32);
+    for case in 0..96u64 {
+        let mut rng = SplitMix64::seed_from_u64(0x5E_7A00 + case);
+        let mut kmap = Kmap::new();
+        kmap.map_knode(Knode::new(ino, Nanos::ZERO));
+        let mut model: BTreeMap<ObjectId, FrameId> = BTreeMap::new();
+        let work = ViewWork::default();
+        // Rare views let adds outrun the frame count between walks,
+        // which must fall back to a full re-collect.
+        let view_every = [2, 8, 64][(case % 3) as usize];
+        let mut walked = false;
+
+        for step in 0..600 {
+            let obj = ObjectId(rng.gen_below(144));
+            let ty = obj_type(obj);
+            kmap.with_knode_mut(ino, |k, _| match rng.gen_below(8) {
+                // Add, or move an already tracked object to a new frame.
+                0..=3 => {
+                    let frame = gen_frame(&mut rng);
+                    k.add_obj(obj, ty, frame);
+                    model.insert(obj, frame);
+                }
+                4 | 5 => {
+                    assert_eq!(k.remove_obj(obj), model.remove(&obj).is_some());
+                }
+                // Remove and re-add on the same frame.
+                6 => {
+                    if let Some(&frame) = model.get(&obj) {
+                        k.remove_obj(obj);
+                        k.add_obj(obj, ty, frame);
+                    }
+                }
+                // A burst of adds and moves onto random frames.
+                _ => {
+                    for n in 0..rng.gen_below(48) {
+                        let obj = ObjectId(96 + n);
+                        let frame = gen_frame(&mut rng);
+                        k.add_obj(obj, obj_type(obj), frame);
+                        model.insert(obj, frame);
+                    }
+                }
+            });
+            #[cfg(feature = "ksan")]
+            if step % 4 == 0 {
+                let mut out = Vec::new();
+                kmap.ksan_audit(&mut out);
+                assert_eq!(out, vec![], "case {case} step {step}");
+            }
+            if rng.gen_below(view_every) == 0 {
+                let (sorted, merged) = (work.frames_sorted(), work.adds_merged());
+                let k = kmap.get(ino).expect("knode mapped");
+                let got = k.with_member_frames(&work, <[FrameId]>::to_vec);
+                let want: Vec<FrameId> = model
+                    .values()
+                    .copied()
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
+                assert_eq!(got, want, "case {case} step {step}");
+                assert_eq!(k.member_frame_count(), want.len());
+                rebuilds += u32::from(walked && work.frames_sorted() > sorted);
+                merges += u32::from(work.adds_merged() > merged);
+                walked = true;
+            }
+        }
+        let k = kmap.get(ino).expect("knode mapped");
+        let want: Vec<FrameId> = model
+            .values()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert_eq!(k.member_frames(), want, "case {case}: final view");
+    }
+    assert!(merges > 0, "some walks merged pending adds");
+    assert!(rebuilds > 0, "some walks fell back to a full re-collect");
 }

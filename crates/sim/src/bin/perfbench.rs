@@ -105,8 +105,10 @@ fn sweep(scale: &Scale) -> Vec<RunConfig> {
 
 /// The run-mode matrix: policies whose per-tick bookkeeping differs
 /// (scan-based Nimble vs event-driven KLOCs) against the two most
-/// knode-heavy workloads. Filebench opens a file per operation, so it
-/// exercises knode creation, aging, and cold-set selection hardest.
+/// knode-heavy workloads plus the tick-dominated one. Filebench opens a
+/// file per operation, so it exercises knode creation, aging, and
+/// cold-set selection hardest; Cassandra's app cache absorbs most I/O,
+/// so the KLOC policy's member-rotation walks dominate its host time.
 fn run_matrix(scales: &[Scale]) -> Vec<RunConfig> {
     let policies = [
         PolicyKind::Nimble,
@@ -114,7 +116,11 @@ fn run_matrix(scales: &[Scale]) -> Vec<RunConfig> {
         PolicyKind::KlocNoMigration,
         PolicyKind::Kloc,
     ];
-    let workloads = [WorkloadKind::Filebench, WorkloadKind::RocksDb];
+    let workloads = [
+        WorkloadKind::Filebench,
+        WorkloadKind::RocksDb,
+        WorkloadKind::Cassandra,
+    ];
     let mut configs = Vec::new();
     for scale in scales {
         for w in workloads {
