@@ -65,8 +65,9 @@ pub struct Knode {
     /// migration collects it directly instead of deduplicating the
     /// member tables on every call.
     frames: FrameRefs,
-    /// Ascending view of `frames` (the report-visible migration order),
-    /// maintained incrementally between walks; see [`MemberView`].
+    /// Ascending view of `frames` (the report-visible migration order)
+    /// with per-frame demotion due stamps, maintained incrementally
+    /// between walks; see [`MemberView`].
     view: RefCell<MemberView>,
     /// Memoized outcome of a *settled* en-masse migration walk:
     /// `(target tier, ping-pong skips the walk charges, external
@@ -78,12 +79,6 @@ pub struct Knode {
     /// registry's external-migration epoch so app-LRU migrations of
     /// member frames invalidate it too.
     enmasse_cache: Cell<Option<(TierId, u64, u64)>>,
-    /// Earliest virtual time the member-granular demotion walk could
-    /// move anything: `(older_than key, bound, external promotion
-    /// epoch)`. Touches only push member candidacy later, so the bound
-    /// stays conservative until the member set changes or a frame is
-    /// promoted into fast memory.
-    demote_bound: Cell<Option<(Nanos, Nanos, u64)>>,
 }
 
 impl Knode {
@@ -101,7 +96,6 @@ impl Knode {
             frames: FrameRefs::default(),
             view: RefCell::new(MemberView::default()),
             enmasse_cache: Cell::new(None),
-            demote_bound: Cell::new(None),
         }
     }
 
@@ -181,7 +175,7 @@ impl Knode {
         let mut changed = false;
         if let Some(old) = prev {
             if self.frames.unref(old) {
-                self.view.get_mut().note_removed(self.frames.len());
+                self.view.get_mut().note_removed(old, self.frames.len());
                 changed = true;
             }
         }
@@ -190,7 +184,7 @@ impl Knode {
             changed = true;
         }
         if changed {
-            self.clear_walk_caches();
+            self.clear_enmasse_cache();
         }
         tree
     }
@@ -201,8 +195,8 @@ impl Knode {
         match frame {
             Some(f) => {
                 if self.frames.unref(f) {
-                    self.view.get_mut().note_removed(self.frames.len());
-                    self.clear_walk_caches();
+                    self.view.get_mut().note_removed(f, self.frames.len());
+                    self.clear_enmasse_cache();
                 }
                 true
             }
@@ -255,12 +249,44 @@ impl Knode {
         f(&self.view.borrow().sorted)
     }
 
-    /// Drops both migration-walk memoizations. Called whenever the
-    /// distinct frame set changes or member frames gain fast-tier
-    /// residency outside a demotion walk's own bookkeeping.
+    /// [`Knode::with_member_frames`] that also hands `f` the demotion
+    /// due stamps, one per frame: the earliest virtual time (ns) at which
+    /// that frame could be a member-demotion candidate, 0 for "probe
+    /// it", `u64::MAX` for "never again under this key". With `key` =
+    /// `Some((older_than, promotion epoch))`, stamps derived under any
+    /// other key are zeroed first; `None` leaves them as they are (a
+    /// promotion walk zeroing the entries it moves).
+    pub(crate) fn with_member_dues<R>(
+        &self,
+        work: &ViewWork,
+        key: Option<(Nanos, u64)>,
+        f: impl FnOnce(&[FrameId], &mut [u64]) -> R,
+    ) -> R {
+        let mut view = self.view.borrow_mut();
+        view.refresh(&self.frames, work);
+        if key.is_some() && view.dues_key != key {
+            view.dues.fill(0);
+            view.dues_key = key;
+        }
+        let view = &mut *view;
+        f(&view.sorted, &mut view.dues)
+    }
+
+    /// Drops both migration-walk memoizations: the settled en-masse
+    /// outcome and the demotion due stamps. Called when member frames
+    /// gain fast-tier residency outside a demotion walk's own
+    /// bookkeeping.
     pub(crate) fn clear_walk_caches(&self) {
         self.enmasse_cache.set(None);
-        self.demote_bound.set(None);
+        self.view.borrow_mut().dues_key = None;
+    }
+
+    /// Drops the settled en-masse outcome only. Member-set changes and
+    /// promotion walks call this: the due stamps stay exact through
+    /// both (new frames enter at 0, a promotion walk zeroes what it
+    /// moves).
+    pub(crate) fn clear_enmasse_cache(&self) {
+        self.enmasse_cache.set(None);
     }
 
     /// The memoized settled en-masse walk outcome, if any.
@@ -272,17 +298,6 @@ impl Knode {
     /// remains and a repeat walk charges exactly `pingpong_skips`.
     pub(crate) fn set_enmasse_cache(&self, to: TierId, pingpong_skips: u64, epoch: u64) {
         self.enmasse_cache.set(Some((to, pingpong_skips, epoch)));
-    }
-
-    /// The memoized member-demotion candidacy bound, if any.
-    pub(crate) fn demote_bound(&self) -> Option<(Nanos, Nanos, u64)> {
-        self.demote_bound.get()
-    }
-
-    /// Memoizes the earliest time a member-granular demotion walk with
-    /// this `older_than` could move anything.
-    pub(crate) fn set_demote_bound(&self, older_than: Nanos, bound: Nanos, epoch: u64) {
-        self.demote_bound.set(Some((older_than, bound, epoch)));
     }
 
     /// Number of distinct frames backing members.
@@ -304,6 +319,7 @@ impl Knode {
 pub struct ViewWork {
     sorted: Cell<u64>,
     merged: Cell<u64>,
+    departed: Cell<u64>,
 }
 
 impl ViewWork {
@@ -316,24 +332,38 @@ impl ViewWork {
     pub fn adds_merged(&self) -> u64 {
         self.merged.get()
     }
+
+    /// Frames dropped from a cached member view through its list of
+    /// departed frames.
+    pub fn departed(&self) -> u64 {
+        self.departed.get()
+    }
 }
 
 /// A knode's ordered member view plus the delta since it was last
 /// brought up to date. Invariant while `built`: `sorted` (ascending,
 /// duplicate-free) together with `pending` covers every tracked frame,
-/// and `pending.len() <= frames.len()`. `sorted` may still hold frames
-/// that left the set, but only while `removed` is set.
+/// `dues` runs parallel to `sorted`, and neither `pending` nor
+/// `departed` is longer than the frame count. `sorted` may still hold
+/// frames that left the set, but only ones listed in `departed`.
 #[derive(Debug, Clone, Default)]
 struct MemberView {
     sorted: Vec<FrameId>,
+    /// Demotion due stamp per `sorted` entry (see
+    /// [`Knode::with_member_dues`]). Entries enter at 0.
+    dues: Vec<u64>,
+    /// `(older_than, promotion epoch)` the stamps were derived under;
+    /// `None` once something invalidated them.
+    dues_key: Option<(Nanos, u64)>,
     /// Frames newly tracked since the last refresh, unordered.
     pending: Vec<FrameId>,
+    /// Frames that left the set since the last refresh, unordered (a
+    /// frame that left and came back is listed too).
+    departed: Vec<FrameId>,
     /// Whether `sorted` + `pending` is a usable base. Unset for a view
     /// never walked (so a knode that is never walked records no adds)
     /// and after an overflow; the next refresh re-collects in full.
     built: bool,
-    /// Whether some frame left the set since the last refresh.
-    removed: bool,
 }
 
 impl MemberView {
@@ -349,12 +379,12 @@ impl MemberView {
         }
     }
 
-    /// Records that a frame left the set; `len` is the frame count
+    /// Records that `frame` left the set; `len` is the frame count
     /// after the removal.
-    fn note_removed(&mut self, len: usize) {
+    fn note_removed(&mut self, frame: FrameId, len: usize) {
         if self.built {
-            self.removed = true;
-            if self.pending.len() > len {
+            self.departed.push(frame);
+            if self.pending.len() > len || self.departed.len() > len {
                 self.invalidate();
             }
         }
@@ -363,69 +393,105 @@ impl MemberView {
     fn invalidate(&mut self) {
         self.built = false;
         self.pending = Vec::new();
+        self.departed = Vec::new();
     }
 
-    /// Brings `sorted` up to date with `frames`.
+    /// Brings `sorted` (and `dues`) up to date with `frames`.
     fn refresh(&mut self, frames: &FrameRefs, work: &ViewWork) {
         if !self.built {
             frames.collect_sorted(&mut self.sorted);
+            self.dues.clear();
+            self.dues.resize(self.sorted.len(), 0);
             work.sorted
                 .set(work.sorted.get() + self.sorted.len() as u64);
             self.built = true;
-            self.removed = false;
             return;
         }
-        if self.removed {
-            // Drop departed frames; a frame that left and came back
-            // is in both lists, and one added then dropped before this
-            // walk sits in `pending` with no references.
-            self.sorted.retain(|&f| frames.count(f) > 0);
+        if !self.departed.is_empty() {
+            // A frame that left and came back is still referenced; one
+            // added then dropped before this walk sits in `pending`
+            // with no references.
+            self.departed.sort_unstable();
+            self.departed.dedup();
+            self.departed.retain(|&f| frames.count(f) == 0);
+            drop_departed(&mut self.sorted, &mut self.dues, &self.departed);
             self.pending.retain(|&f| frames.count(f) > 0);
+            work.departed
+                .set(work.departed.get() + self.departed.len() as u64);
+            self.departed.clear();
         }
         if self.pending.is_empty() {
-            self.removed = false;
             return;
         }
         self.pending.sort_unstable();
-        if self.removed {
-            self.pending.dedup();
-        }
-        merge_into(&mut self.sorted, &self.pending);
+        self.pending.dedup();
+        merge_into(&mut self.sorted, &mut self.dues, &self.pending);
         work.merged
             .set(work.merged.get() + self.pending.len() as u64);
         self.pending.clear();
-        self.removed = false;
     }
 }
 
+/// Removes the ascending `gone` frames from ascending `sorted`, and the
+/// matching `dues` entries, in one compaction pass starting at the
+/// first frame that can match.
+fn drop_departed(sorted: &mut Vec<FrameId>, dues: &mut Vec<u64>, gone: &[FrameId]) {
+    let Some(&first) = gone.first() else {
+        return;
+    };
+    let start = sorted.partition_point(|&f| f < first);
+    let mut w = start;
+    let mut g = 0;
+    for r in start..sorted.len() {
+        let f = sorted[r];
+        while g < gone.len() && gone[g] < f {
+            g += 1;
+        }
+        if gone.get(g) == Some(&f) {
+            continue;
+        }
+        sorted[w] = f;
+        dues[w] = dues[r];
+        w += 1;
+    }
+    sorted.truncate(w);
+    dues.truncate(w);
+}
+
 /// Merges ascending `adds` into ascending `dst` in place, back to
-/// front, keeping one copy of any frame present in both. `dst` grows
-/// by exactly what it needs: a doubling growth on these long-lived
-/// views shows up in peak RSS.
-fn merge_into(dst: &mut Vec<FrameId>, adds: &[FrameId]) {
+/// front, keeping one copy of any frame present in both; `dues` moves
+/// with `dst`. Every added frame's stamp starts at 0 ("probe it"), a
+/// re-added one's included: while it was away it may have changed tier
+/// unseen by this knode's invalidations.
+fn merge_into(dst: &mut Vec<FrameId>, dues: &mut Vec<u64>, adds: &[FrameId]) {
     let mut i = dst.len();
     let mut j = adds.len();
-    dst.reserve_exact(j);
+    dst.reserve(j);
+    dues.reserve(j);
     dst.resize(i + j, FrameId(0));
+    dues.resize(i + j, 0);
     // Writes land at `w >= i`, so unread `dst[..i]` is never clobbered.
     let mut w = i + j;
     while j > 0 {
         w -= 1;
         let add = adds[j - 1];
-        if i > 0 && dst[i - 1] >= add {
-            if dst[i - 1] == add {
-                j -= 1;
-            }
+        if i > 0 && dst[i - 1] > add {
             dst[w] = dst[i - 1];
+            dues[w] = dues[i - 1];
             i -= 1;
         } else {
+            if i > 0 && dst[i - 1] == add {
+                i -= 1;
+            }
             dst[w] = add;
+            dues[w] = 0;
             j -= 1;
         }
     }
     // Each shared frame left one slot unused between the untouched
     // prefix and the merged tail.
     dst.drain(i..w);
+    dues.drain(i..w);
 }
 
 #[cfg(feature = "ksan")]
@@ -517,7 +583,7 @@ impl Knode {
                 format!("{}", view.pending.len()),
             ));
         }
-        if view.pending.is_empty() && !view.removed && view.sorted != fresh {
+        if view.pending.is_empty() && view.departed.is_empty() && view.sorted != fresh {
             out.push(Violation::new(
                 "Knode.sorted_frames cache <-> Knode.frames",
                 format!("{}", self.inode),
@@ -555,9 +621,10 @@ impl Knode {
     pub fn ksan_break_frame_cache(&mut self) {
         let view = self.view.get_mut();
         view.sorted.push(FrameId(0xBAD));
+        view.dues.push(0);
         view.pending.clear();
+        view.departed.clear();
         view.built = true;
-        view.removed = false;
     }
 
     /// Corruption hook for sanitizer self-tests: forgets the most
@@ -565,6 +632,101 @@ impl Knode {
     #[doc(hidden)]
     pub fn ksan_break_drop_pending_add(&mut self) {
         self.view.get_mut().pending.pop();
+    }
+
+    /// Audits the demotion due stamps of a built view against the frame
+    /// table: `dues` runs parallel to `sorted`, the departed list is
+    /// bounded by the frame count, and — when the stamps were derived
+    /// under the current `epoch` — no stamp claims a frame cannot be a
+    /// candidate before it really could: a finite stamp is at most
+    /// `last_access + older_than`, and `u64::MAX` marks only a frame
+    /// that is freed, off the fast tier, pinned, or at `max_migrations`.
+    /// Frames that left the set or await a merge (their stamp restarts
+    /// at 0) are skipped. Observation only.
+    pub(crate) fn ksan_audit_dues(
+        &self,
+        epoch: u64,
+        max_migrations: u8,
+        mem: &kloc_mem::MemorySystem,
+        out: &mut Vec<kloc_mem::ksan::Violation>,
+    ) {
+        use kloc_mem::ksan::Violation;
+        let view = self.view.borrow();
+        if !view.built {
+            return;
+        }
+        if view.dues.len() != view.sorted.len() {
+            out.push(Violation::new(
+                "Knode due stamps <-> Knode.sorted_frames cache",
+                format!("{}", self.inode),
+                "one due stamp per cached frame",
+                format!("{}", view.sorted.len()),
+                format!("{}", view.dues.len()),
+            ));
+            return;
+        }
+        if view.departed.len() > self.frames.len() {
+            out.push(Violation::new(
+                "Knode departed frames <-> Knode.frames",
+                format!("{}", self.inode),
+                "no more departures pending than frames tracked",
+                format!("<= {}", self.frames.len()),
+                format!("{}", view.departed.len()),
+            ));
+        }
+        let Some((older_than, key_epoch)) = view.dues_key else {
+            return;
+        };
+        if key_epoch != epoch {
+            return;
+        }
+        let mut pending = view.pending.clone();
+        pending.sort_unstable();
+        for (&frame, &due) in view.sorted.iter().zip(&view.dues) {
+            if due == 0 || self.frames.count(frame) == 0 || pending.binary_search(&frame).is_ok() {
+                continue;
+            }
+            let Some(meta) = mem.frame_meta(frame) else {
+                continue;
+            };
+            let settled =
+                meta.tier != TierId::FAST || meta.pinned || meta.migrations >= max_migrations;
+            let bound = meta
+                .last_access
+                .as_nanos()
+                .saturating_add(older_than.as_nanos());
+            let wrong = if due == u64::MAX {
+                !settled
+            } else {
+                due > bound
+            };
+            if wrong {
+                out.push(Violation::new(
+                    "Knode due stamps <-> FrameTable",
+                    format!("{} {frame}", self.inode),
+                    "a due stamp never postpones a possible demotion candidate",
+                    if due == u64::MAX {
+                        "u64::MAX only on a freed, slow, pinned or maxed frame".to_owned()
+                    } else {
+                        format!("<= last_access + older_than = {bound}")
+                    },
+                    format!(
+                        "due {due} on {:?} frame (pinned {}, migrations {}, last_access {})",
+                        meta.tier, meta.pinned, meta.migrations, meta.last_access
+                    ),
+                ));
+            }
+        }
+    }
+
+    /// Corruption hook for sanitizer self-tests: stamps `frame` as
+    /// never demotable under the view's current key.
+    #[doc(hidden)]
+    pub fn ksan_break_due_stamp(&mut self, frame: FrameId) {
+        let view = self.view.get_mut();
+        if let Ok(i) = view.sorted.binary_search(&frame) {
+            view.dues[i] = u64::MAX;
+        }
     }
 
     /// Test-only wrapper over the crate-private inuse transition so

@@ -115,6 +115,11 @@ pub struct KlocRegistry {
     /// [`TenantId::index`] — the shared-inode / shared-socket
     /// attribution signal of the multi-tenant model.
     shared_accesses: Vec<u64>,
+    /// [`kloc_mem::DrainStats::drained`] as of the last walk. A tier
+    /// drain migrates frames without telling anyone; when the count
+    /// moves, both epochs are bumped so every walk memoization is
+    /// re-derived.
+    drained_seen: u64,
     /// Diagnostic probe: member frames examined by the migration walks.
     /// Like [`Kmap::knodes_examined`], kept out of [`KlocStats`] so
     /// reports are unchanged.
@@ -135,6 +140,7 @@ impl KlocRegistry {
             extern_demotions: 0,
             owners: Vec::new(),
             shared_accesses: Vec::new(),
+            drained_seen: 0,
             frames_probed: 0,
             view_work: ViewWork::default(),
             config,
@@ -164,7 +170,9 @@ impl KlocRegistry {
     /// Member frames examined so far by [`KlocRegistry::migrate_knode`]
     /// and its variants, [`KlocRegistry::demote_cold_members`] and
     /// [`KlocRegistry::promote_hot_members`] — a deterministic work
-    /// count for the walks.
+    /// count for the walks. Only frames actually looked up in the frame
+    /// table count: a demotion walk passing over a frame whose due
+    /// stamp lies in the future does not probe it.
     pub fn frames_probed(&self) -> u64 {
         self.frames_probed
     }
@@ -423,6 +431,19 @@ impl KlocRegistry {
         self.extern_demotions += 1;
     }
 
+    /// Folds tier drains since the last walk into both epochs: a drain
+    /// (`MemorySystem::drain_offline`) can move frames either way
+    /// between tiers, including slow members into fast memory while
+    /// the slow tier is offline.
+    fn note_drains(&mut self, mem: &MemorySystem) {
+        let drained = mem.drain_stats().drained;
+        if drained != self.drained_seen {
+            self.drained_seen = drained;
+            self.note_external_promotions();
+            self.note_external_demotions();
+        }
+    }
+
     /// Migrates every member frame of `inode`'s knode to `to` — the
     /// en-masse mechanism (paper §4.4). Pinned frames and frames that
     /// exceeded the anti-ping-pong counter are skipped. Returns pages
@@ -458,6 +479,7 @@ impl KlocRegistry {
         to: TierId,
         max_pages: u64,
     ) -> (u64, u64) {
+        self.note_drains(mem);
         let Some(k) = self.kmap.get(inode) else {
             return (0, 0);
         };
@@ -549,6 +571,16 @@ impl KlocRegistry {
     /// walk over exactly the relevant frames, no page-table scan (§4.1).
     /// Used for partially-cold active knodes (an append-only log's old
     /// pages). Returns pages moved.
+    ///
+    /// Each frame carries a due stamp, the earliest instant it could be
+    /// a candidate, and the walk probes only frames whose stamp has
+    /// passed. Stamps are exact, not heuristic: a live frame's last
+    /// access only grows, pinning is fixed at allocation, the migration
+    /// count only grows, and a freed id never returns. The one way back
+    /// to candidacy, a migration into fast memory, zeroes the stamp
+    /// (promotion walks) or invalidates the stamps' key (en-masse
+    /// promotions, shared-frame promotions, external promotions, tier
+    /// drains).
     pub fn demote_cold_members(
         &mut self,
         inode: InodeId,
@@ -556,65 +588,56 @@ impl KlocRegistry {
         older_than: Nanos,
         max_pages: u64,
     ) -> u64 {
+        self.note_drains(mem);
         let Some(k) = self.kmap.get(inode) else {
             return 0;
         };
         let now = mem.now();
-        let epoch = self.promotion_epoch;
-        // Candidacy only arises by time passing (touches push it later,
-        // demotions remove candidates), so a completed walk's bound on
-        // the next movable instant short-circuits the common re-walk of
-        // an all-hot knode.
-        if let Some((key, bound, cached_epoch)) = k.demote_bound() {
-            if key == older_than && cached_epoch == epoch && now < bound {
-                return 0;
-            }
-        }
         let max_migrations = self.config.max_migrations;
         let mut moved = 0;
-        let mut settled = true;
-        let mut next_candidacy = u64::MAX;
         let mut probed = 0;
-        k.with_member_frames(&self.view_work, |frames| {
-            for &frame in frames {
+        let key = Some((older_than, self.promotion_epoch));
+        k.with_member_dues(&self.view_work, key, |frames, dues| {
+            for (&frame, due) in frames.iter().zip(dues.iter_mut()) {
                 if moved >= max_pages {
-                    settled = false;
                     break;
+                }
+                if *due > now.as_nanos() {
+                    continue;
                 }
                 probed += 1;
                 // Recency first: most members of an active knode were
                 // touched within `older_than`, so the common reject
-                // path reads one column. Folding too-recent frames into
-                // the bound regardless of tier keeps it a (conservative)
-                // lower bound on the next movable instant.
+                // path reads one column.
                 let Some(last) = mem.last_access_if_live(frame) else {
+                    *due = u64::MAX;
                     continue;
                 };
                 if now.saturating_sub(last) < older_than {
-                    next_candidacy =
-                        next_candidacy.min(last.as_nanos().saturating_add(older_than.as_nanos()));
+                    *due = last.as_nanos().saturating_add(older_than.as_nanos());
                     continue;
                 }
                 // Only fast-tier frames are demotion candidates.
                 if mem.tier_if_live(frame) != Some(TierId::FAST) {
+                    *due = u64::MAX;
                     continue;
                 }
                 let Some(f) = mem.frame_meta(frame) else {
+                    *due = u64::MAX;
                     continue;
                 };
                 if f.pinned || f.migrations >= max_migrations {
+                    *due = u64::MAX;
                     continue;
                 }
+                // A failed migration keeps the stamp: the frame is
+                // still a candidate for the next walk.
                 if mem.migrate(frame, TierId::SLOW).is_ok() {
                     moved += 1;
-                } else {
-                    settled = false;
+                    *due = u64::MAX;
                 }
             }
         });
-        if settled {
-            k.set_demote_bound(older_than, Nanos::new(next_candidacy), epoch);
-        }
         self.frames_probed += probed;
         if moved > 0 {
             self.stats.pages_demoted += moved;
@@ -641,8 +664,8 @@ impl KlocRegistry {
         let mut moved = 0;
         let mut promoted_shared = false;
         let mut probed = 0;
-        k.with_member_frames(&self.view_work, |frames| {
-            for &frame in frames {
+        k.with_member_dues(&self.view_work, None, |frames, dues| {
+            for (&frame, due) in frames.iter().zip(dues.iter_mut()) {
                 if moved >= max_pages {
                     break;
                 }
@@ -662,6 +685,8 @@ impl KlocRegistry {
                 {
                     moved += 1;
                     promoted_shared |= frame_is_shared(f.kind);
+                    // Back in fast memory: a demotion candidate again.
+                    *due = 0;
                 }
             }
         });
@@ -672,7 +697,8 @@ impl KlocRegistry {
                 // knode's demotion memoizations are stale.
                 self.promotion_epoch += 1;
             } else {
-                k.clear_walk_caches();
+                // This knode's stamps were fixed in the walk.
+                k.clear_enmasse_cache();
             }
             self.stats.pages_promoted += moved;
             self.emit_kloc_migrate(inode, mem, "promote", "members", moved);
@@ -758,6 +784,20 @@ impl KlocRegistry {
     pub fn ksan_audit(&self, out: &mut Vec<kloc_mem::ksan::Violation>) {
         self.kmap.ksan_audit(out);
         self.percpu.ksan_audit(&self.kmap, out);
+    }
+
+    /// Audits every knode's demotion due stamps against `mem`'s frame
+    /// table (see [`KlocRegistry::demote_cold_members`]). Stamps keyed
+    /// to an older promotion epoch are skipped, as are all stamps while
+    /// a tier drain has not yet been folded into the epochs: the next
+    /// walk discards them. Observation only.
+    pub fn ksan_audit_dues(&self, mem: &MemorySystem, out: &mut Vec<kloc_mem::ksan::Violation>) {
+        if mem.drain_stats().drained != self.drained_seen {
+            return;
+        }
+        for k in self.kmap.iter() {
+            k.ksan_audit_dues(self.promotion_epoch, self.config.max_migrations, mem, out);
+        }
     }
 
     /// Corruption hooks for sanitizer self-tests, forwarded to the kmap.
@@ -970,6 +1010,97 @@ mod tests {
             4096,
             "an up-to-date view sorts nothing"
         );
+    }
+
+    #[test]
+    fn member_frame_readded_from_another_knode_is_reprobed() {
+        let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
+        let mut r = KlocRegistry::new(KlocConfig::default());
+        r.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
+        r.inode_created(InodeId(2), CpuId(0), Nanos::ZERO);
+        let (a, b) = (
+            info(KernelObjectType::PageCache, 1),
+            info(KernelObjectType::PageCache, 2),
+        );
+        // Two slow bystanders keep knode 1's view incremental (a view
+        // losing its last frame is simply rebuilt).
+        for n in 2..4 {
+            let g = mem.allocate(TierId::SLOW, PageKind::PageCache).unwrap();
+            r.object_allocated(ObjectId(n), &a, g, CpuId(0), Nanos::ZERO);
+        }
+        let f = mem.allocate(TierId::SLOW, PageKind::PageCache).unwrap();
+        r.object_allocated(ObjectId(1), &a, f, CpuId(0), Nanos::ZERO);
+        let idle = Nanos::from_millis(1);
+        mem.charge(Nanos::from_millis(2));
+        // Cold but slow: stamped as never demotable.
+        assert_eq!(
+            r.demote_cold_members(InodeId(1), &mut mem, idle, u64::MAX),
+            0
+        );
+        // The object visits knode 2, which promotes its single-owner
+        // frame (no epoch bump), then returns before knode 1 walks.
+        r.object_freed(ObjectId(1), &a);
+        r.object_allocated(ObjectId(1), &b, f, CpuId(0), mem.now());
+        mem.read(f, 64);
+        assert_eq!(
+            r.promote_hot_members(InodeId(2), &mut mem, idle, u64::MAX),
+            1
+        );
+        r.object_freed(ObjectId(1), &b);
+        r.object_allocated(ObjectId(1), &a, f, CpuId(0), mem.now());
+        mem.charge(Nanos::from_millis(2));
+        assert_eq!(mem.tier_of(f), TierId::FAST);
+        assert_eq!(
+            r.demote_cold_members(InodeId(1), &mut mem, idle, u64::MAX),
+            1,
+            "the returning frame's stamp restarts at 0"
+        );
+        assert_eq!(mem.tier_of(f), TierId::SLOW);
+    }
+
+    #[test]
+    fn stamped_walks_skip_frames_that_cannot_move_yet() {
+        let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
+        let mut r = KlocRegistry::new(KlocConfig::default());
+        r.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
+        let i = info(KernelObjectType::PageCache, 1);
+        for n in 0..8u64 {
+            let tier = if n < 4 { TierId::FAST } else { TierId::SLOW };
+            let f = mem.allocate(tier, PageKind::PageCache).unwrap();
+            r.object_allocated(ObjectId(n), &i, f, CpuId(0), Nanos::ZERO);
+        }
+        let idle = Nanos::from_millis(1);
+        // Nothing is idle yet: every frame is probed and stamped.
+        assert_eq!(
+            r.demote_cold_members(InodeId(1), &mut mem, idle, u64::MAX),
+            0
+        );
+        assert_eq!(r.frames_probed(), 8);
+        // Before any stamp falls due, a re-walk probes nothing.
+        mem.charge(Nanos::from_micros(500));
+        assert_eq!(
+            r.demote_cold_members(InodeId(1), &mut mem, idle, u64::MAX),
+            0
+        );
+        assert_eq!(r.frames_probed(), 8);
+        // Once due, the four fast frames move and the rest settle.
+        mem.charge(Nanos::from_millis(1));
+        assert_eq!(
+            r.demote_cold_members(InodeId(1), &mut mem, idle, u64::MAX),
+            4
+        );
+        assert_eq!(r.frames_probed(), 16);
+        assert_eq!(
+            r.demote_cold_members(InodeId(1), &mut mem, idle, u64::MAX),
+            0
+        );
+        assert_eq!(r.frames_probed(), 16, "slow and demoted frames are settled");
+        // A different idle threshold is a different key: re-probe all.
+        assert_eq!(
+            r.demote_cold_members(InodeId(1), &mut mem, idle * 2, u64::MAX),
+            0
+        );
+        assert_eq!(r.frames_probed(), 24);
     }
 
     #[test]

@@ -215,3 +215,48 @@ fn percpu_entries_are_validated_against_kmap() {
         "{out:#?}"
     );
 }
+
+#[test]
+fn due_stamp_hiding_a_demotable_frame_is_caught() {
+    use kloc_core::{KlocConfig, KlocRegistry};
+    use kloc_kernel::hooks::CpuId;
+    use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
+    use kloc_mem::{MemorySystem, PageKind, TierId, PAGE_SIZE};
+
+    let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
+    let mut reg = KlocRegistry::new(KlocConfig::default());
+    reg.inode_created(InodeId(2), CpuId(0), Nanos::ZERO);
+    let info = ObjectInfo {
+        ty: KernelObjectType::PageCache,
+        size: PAGE_SIZE,
+        inode: Some(InodeId(2)),
+    };
+    let frames: Vec<_> = (0..3)
+        .map(|n| {
+            let f = mem.allocate(TierId::FAST, PageKind::PageCache).unwrap();
+            reg.object_allocated(ObjectId(n), &info, f, CpuId(0), Nanos::ZERO);
+            f
+        })
+        .collect();
+    let audit = |reg: &KlocRegistry, mem: &MemorySystem| {
+        let mut out = Vec::new();
+        reg.ksan_audit_dues(mem, &mut out);
+        out
+    };
+    // A budget-0 walk keys the stamps without probing anything; the
+    // frames then go cold while staying fast and movable.
+    let older_than = Nanos::from_micros(10);
+    assert_eq!(
+        reg.demote_cold_members(InodeId(2), &mut mem, older_than, 0),
+        0
+    );
+    mem.charge(Nanos::from_millis(1));
+    assert_eq!(audit(&reg, &mem), vec![]);
+
+    reg.ksan_kmap_mut()
+        .with_knode_mut(InodeId(2), |k, _| k.ksan_break_due_stamp(frames[1]));
+    let out = audit(&reg, &mem);
+    assert_eq!(out.len(), 1, "{out:#?}");
+    assert_eq!(out[0].structures, "Knode due stamps <-> FrameTable");
+    assert_eq!(out[0].object, format!("inode2 {}", frames[1]));
+}

@@ -3,7 +3,9 @@
 //! including around recycled slots, where a stale `ObjectId` probing a
 //! reused slot must miss on the full-id compare rather than false-hit.
 //! A knode's incrementally merged member view must likewise always
-//! equal the ordered set of frames its members map to.
+//! equal the ordered set of frames its members map to, and the
+//! due-stamped member-demotion walk must move exactly what a walk that
+//! probes every member would.
 //!
 //! Sequences come from the in-tree seeded `SplitMix64` PRNG (fixed
 //! seeds, so failures reproduce exactly).
@@ -12,10 +14,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use kloc_core::knode::ViewWork;
 use kloc_core::members::{FrameRefs, MemberMap};
-use kloc_core::{Kmap, Knode};
+use kloc_core::{KlocConfig, KlocRegistry, Kmap, Knode};
+use kloc_kernel::hooks::CpuId;
 use kloc_kernel::vfs::InodeId;
-use kloc_kernel::{KernelObjectType, ObjectId};
-use kloc_mem::{FrameId, Nanos, SplitMix64};
+use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
+use kloc_mem::{FrameId, MemorySystem, Nanos, PageKind, SplitMix64, TierId, PAGE_SIZE};
 
 /// Draws an `ObjectId` from a pool sized to force heavy slot reuse:
 /// low bits collide across ids whose high bits differ, so recycled
@@ -199,4 +202,267 @@ fn knode_member_view_matches_btreeset_model() {
     }
     assert!(merges > 0, "some walks merged pending adds");
     assert!(rebuilds > 0, "some walks fell back to a full re-collect");
+}
+
+/// One simulated machine: memory plus the registry tracking it.
+struct World {
+    mem: MemorySystem,
+    reg: KlocRegistry,
+}
+
+const INODES: u64 = 3;
+
+impl World {
+    fn new() -> Self {
+        let mut reg = KlocRegistry::new(KlocConfig {
+            max_migrations: 6,
+            ..KlocConfig::default()
+        });
+        for ino in 1..=INODES {
+            reg.inode_created(InodeId(ino), CpuId(0), Nanos::ZERO);
+        }
+        World {
+            mem: MemorySystem::two_tier(40 * PAGE_SIZE, 8),
+            reg,
+        }
+    }
+
+    fn track(&mut self, obj: ObjectId, ty: KernelObjectType, ino: u64, frame: FrameId) {
+        let info = ObjectInfo {
+            ty,
+            size: ty.size(),
+            inode: Some(InodeId(ino)),
+        };
+        let now = self.mem.now();
+        self.reg.object_allocated(obj, &info, frame, CpuId(0), now);
+    }
+
+    fn untrack(&mut self, obj: ObjectId, ty: KernelObjectType, ino: u64) {
+        let info = ObjectInfo {
+            ty,
+            size: ty.size(),
+            inode: Some(InodeId(ino)),
+        };
+        self.reg.object_freed(obj, &info);
+    }
+
+    /// Every frame's tier, in the given order (`None` once freed).
+    fn tiers(&self, frames: &[FrameId]) -> Vec<Option<TierId>> {
+        frames.iter().map(|&f| self.mem.tier_if_live(f)).collect()
+    }
+}
+
+/// The member-demotion walk as it stood before due stamps, from public
+/// APIs only: probe every member frame in ascending order. Returns the
+/// frames moved and the frames probed.
+fn reference_demote(
+    w: &mut World,
+    ino: u64,
+    older_than: Nanos,
+    max_pages: u64,
+) -> (Vec<FrameId>, u64) {
+    let now = w.mem.now();
+    let max_migrations = w.reg.config().max_migrations;
+    let (mut moved, mut probed) = (Vec::new(), 0);
+    for frame in w.reg.member_frames(InodeId(ino)) {
+        if moved.len() as u64 >= max_pages {
+            break;
+        }
+        probed += 1;
+        let Some(last) = w.mem.last_access_if_live(frame) else {
+            continue;
+        };
+        if now.saturating_sub(last) < older_than || w.mem.tier_if_live(frame) != Some(TierId::FAST)
+        {
+            continue;
+        }
+        let Some(f) = w.mem.frame_meta(frame) else {
+            continue;
+        };
+        if !f.pinned && f.migrations < max_migrations && w.mem.migrate(frame, TierId::SLOW).is_ok()
+        {
+            moved.push(frame);
+        }
+    }
+    (moved, probed)
+}
+
+#[test]
+fn stamped_member_demotion_matches_probing_every_member() {
+    let (mut skipped_walks, mut zero_budget) = (0u32, 0u32);
+    for case in 0..48u64 {
+        let mut rng = SplitMix64::seed_from_u64(0xD0E_5700 + case);
+        // `a` runs the registry's stamped walk, `b` the reference walk;
+        // every other operation is applied to both identically.
+        let (mut a, mut b) = (World::new(), World::new());
+        // Live objects: id -> (type, inode, frame).
+        let mut objs: BTreeMap<ObjectId, (KernelObjectType, u64, FrameId)> = BTreeMap::new();
+        // Relocatable frames packing several objects (slab-style).
+        let mut shared: Vec<FrameId> = Vec::new();
+        let mut frames: Vec<FrameId> = Vec::new();
+        let mut next_obj = 0u64;
+        let mut ref_probes = 0u64;
+        for step in 0..500 {
+            let ino = 1 + rng.gen_below(INODES);
+            let pick = |rng: &mut SplitMix64, objs: &BTreeMap<ObjectId, _>| {
+                let n = objs.len() as u64;
+                (n > 0).then(|| *objs.keys().nth(rng.gen_below(n) as usize).unwrap())
+            };
+            match rng.gen_below(16) {
+                // Add a page-backed object on its own frame, or a
+                // small object on a shared frame.
+                0..=2 => {
+                    let obj = ObjectId(next_obj);
+                    next_obj += 1;
+                    let (ty, frame) = if shared.is_empty() || rng.gen_below(3) == 0 {
+                        let tier = TierId(u8::from(rng.gen_below(3) == 0));
+                        let kind = if rng.gen_below(4) == 0 {
+                            PageKind::KernelVma
+                        } else {
+                            PageKind::PageCache
+                        };
+                        let Ok(f) = a.mem.allocate(tier, kind) else {
+                            continue;
+                        };
+                        assert_eq!(b.mem.allocate(tier, kind), Ok(f));
+                        frames.push(f);
+                        if kind == PageKind::KernelVma {
+                            shared.push(f);
+                            (KernelObjectType::Dentry, f)
+                        } else {
+                            (KernelObjectType::PageCache, f)
+                        }
+                    } else {
+                        let f = shared[rng.gen_below(shared.len() as u64) as usize];
+                        (KernelObjectType::Dentry, f)
+                    };
+                    a.track(obj, ty, ino, frame);
+                    b.track(obj, ty, ino, frame);
+                    objs.insert(obj, (ty, ino, frame));
+                }
+                // Touch a member frame (advances time by its cost).
+                3 | 4 => {
+                    if let Some(obj) = pick(&mut rng, &objs) {
+                        let frame = objs[&obj].2;
+                        a.mem.read(frame, 64);
+                        b.mem.read(frame, 64);
+                    }
+                }
+                // Let time pass.
+                5 => {
+                    let dt = Nanos::from_micros(rng.gen_below(2_500));
+                    a.mem.charge(dt);
+                    b.mem.charge(dt);
+                }
+                // Move an object to another knode.
+                6 => {
+                    if let Some(obj) = pick(&mut rng, &objs) {
+                        let (ty, old, frame) = objs[&obj];
+                        for w in [&mut a, &mut b] {
+                            w.untrack(obj, ty, old);
+                            w.track(obj, ty, ino, frame);
+                        }
+                        objs.insert(obj, (ty, ino, frame));
+                    }
+                }
+                // Free an object (and its frame, when it owns one).
+                7 => {
+                    if let Some(obj) = pick(&mut rng, &objs) {
+                        let (ty, old, frame) = objs.remove(&obj).unwrap();
+                        for w in [&mut a, &mut b] {
+                            w.untrack(obj, ty, old);
+                            if ty == KernelObjectType::PageCache {
+                                w.mem.free(frame).unwrap();
+                            }
+                        }
+                    }
+                }
+                8 => {
+                    let max = rng.gen_below(6);
+                    let hot = Nanos::from_millis(2);
+                    let pa = a
+                        .reg
+                        .promote_hot_members(InodeId(ino), &mut a.mem, hot, max);
+                    let pb = b
+                        .reg
+                        .promote_hot_members(InodeId(ino), &mut b.mem, hot, max);
+                    assert_eq!(pa, pb, "case {case} step {step}: promotion");
+                }
+                // Promote or demote a frame behind the registry's back.
+                9 | 10 => {
+                    if let Some(obj) = pick(&mut rng, &objs) {
+                        let frame = objs[&obj].2;
+                        let to = TierId(u8::from(rng.gen_below(2) == 0));
+                        for w in [&mut a, &mut b] {
+                            if w.mem.migrate(frame, to).is_ok() {
+                                if to == TierId::FAST {
+                                    w.reg.note_external_promotions();
+                                } else {
+                                    w.reg.note_external_demotions();
+                                }
+                            }
+                        }
+                    }
+                }
+                // En-masse migration of a whole knode.
+                11 => {
+                    let to = TierId(u8::from(rng.gen_below(2) == 0));
+                    let ma = a.reg.migrate_knode(InodeId(ino), &mut a.mem, to);
+                    let mb = b.reg.migrate_knode(InodeId(ino), &mut b.mem, to);
+                    assert_eq!(ma, mb, "case {case} step {step}: en masse");
+                }
+                // The walk under test.
+                _ => {
+                    let older_than = Nanos::from_millis([1, 3][rng.gen_below(2) as usize]);
+                    let budget = [0, 2, 8, u64::MAX][rng.gen_below(4) as usize];
+                    let before = a.tiers(&frames);
+                    let probes = a.reg.frames_probed();
+                    let moved =
+                        a.reg
+                            .demote_cold_members(InodeId(ino), &mut a.mem, older_than, budget);
+                    let after = a.tiers(&frames);
+                    let mut got: Vec<FrameId> = frames
+                        .iter()
+                        .zip(before.iter().zip(&after))
+                        .filter(|(_, (x, y))| x != y)
+                        .map(|(&f, _)| f)
+                        .collect();
+                    let (want, probed) = reference_demote(&mut b, ino, older_than, budget);
+                    ref_probes += probed;
+                    assert_eq!(moved, want.len() as u64, "case {case} step {step}");
+                    let mut want = want;
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "case {case} step {step}: frames moved");
+                    skipped_walks += u32::from(a.reg.frames_probed() - probes < probed);
+                    zero_budget += u32::from(budget == 0);
+                }
+            }
+            assert_eq!(
+                a.tiers(&frames),
+                b.tiers(&frames),
+                "case {case} step {step}: tiers"
+            );
+            #[cfg(feature = "ksan")]
+            if step % 8 == 0 {
+                let mut out = Vec::new();
+                a.reg.ksan_audit(&mut out);
+                a.reg.ksan_audit_dues(&a.mem, &mut out);
+                assert_eq!(out, vec![], "case {case} step {step}");
+            }
+        }
+        // `b` never runs the stamped walk: its probes are the shared
+        // promotion and en-masse walks, the same as `a`'s.
+        assert!(
+            a.reg.frames_probed() <= b.reg.frames_probed() + ref_probes,
+            "case {case}: {} stamped vs {} + {ref_probes} reference probes",
+            a.reg.frames_probed(),
+            b.reg.frames_probed()
+        );
+    }
+    assert!(zero_budget > 0);
+    assert!(
+        skipped_walks > 100,
+        "stamps skipped probes on {skipped_walks} walks"
+    );
 }

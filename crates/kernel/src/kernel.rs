@@ -137,7 +137,9 @@ impl Kernel {
     /// (including the shared-kernel default tenant) are scavengers:
     /// anything that never declared a class yields first.
     fn qos_of(&self, id: TenantId) -> QosClass {
-        self.tenants.spec(id).map_or(QosClass::BestEffort, |s| s.qos)
+        self.tenants
+            .spec(id)
+            .map_or(QosClass::BestEffort, |s| s.qos)
     }
 
     /// The QoS class that pays reclaim next — the most-scavenger class
@@ -152,9 +154,13 @@ impl Kernel {
                 seen[self.qos_of(id) as usize] = true;
             }
         }
-        let floor = [QosClass::BestEffort, QosClass::Burstable, QosClass::Guaranteed]
-            .into_iter()
-            .find(|q| seen[*q as usize]);
+        let floor = [
+            QosClass::BestEffort,
+            QosClass::Burstable,
+            QosClass::Guaranteed,
+        ]
+        .into_iter()
+        .find(|q| seen[*q as usize]);
         (floor, seen.iter().filter(|s| **s).count() > 1)
     }
 
@@ -176,7 +182,10 @@ impl Kernel {
         pc_budget: Option<u64>,
         fast_budget_frames: Option<u64>,
     ) -> Result<bool, KernelError> {
-        if !self.tenants.resize_budget(id, pc_budget, fast_budget_frames) {
+        if !self
+            .tenants
+            .resize_budget(id, pc_budget, fast_budget_frames)
+        {
             return Ok(false);
         }
         if let Some(cap) = pc_budget {

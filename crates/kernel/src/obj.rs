@@ -239,15 +239,29 @@ pub struct KObject {
     pub allocated_at: Nanos,
 }
 
+/// Slots per [`ObjectTable`] chunk.
+const CHUNK: usize = 1024;
+
 /// Table of live kernel objects.
 ///
-/// Ids are assigned sequentially and never reused, so the table is a
-/// plain id-indexed vector: lookup on the object-access hot path is one
-/// bounds-checked array read, no hashing. Dead slots stay `None`; the
-/// simulator's live population is bounded, so slot memory is dominated
-/// by the live high-water mark plus already-freed prefix.
+/// Ids are assigned sequentially and never reused, so the table is
+/// id-indexed: lookup on the object-access hot path is two indexed
+/// reads (chunk, then slot), no hashing. Slots live in fixed
+/// 1 024-slot chunks, each allocated once at exact capacity, so
+/// growth never copies the table; a chunk whose ids have all been
+/// assigned and have all died is freed, so slot memory follows the
+/// spread of live ids rather than every id ever issued.
 #[derive(Debug, Default, Clone)]
 pub struct ObjectTable {
+    chunks: Vec<Chunk>,
+    next: u64,
+    live: usize,
+}
+
+/// Slots for ids `n * CHUNK ..` of chunk `n`: one per id assigned so
+/// far, and none once the chunk was freed.
+#[derive(Debug, Default, Clone)]
+struct Chunk {
     slots: Vec<Option<KObject>>,
     live: usize,
 }
@@ -260,37 +274,59 @@ impl ObjectTable {
 
     /// Registers a new object and returns its id.
     pub fn insert(&mut self, info: ObjectInfo, frame: FrameId, now: Nanos) -> ObjectId {
-        let id = ObjectId(self.slots.len() as u64);
-        self.slots.push(Some(KObject {
+        let id = ObjectId(self.next);
+        let c = self.next as usize / CHUNK;
+        self.next += 1;
+        if c == self.chunks.len() {
+            self.chunks.push(Chunk {
+                slots: Vec::with_capacity(CHUNK),
+                live: 0,
+            });
+        }
+        let chunk = &mut self.chunks[c];
+        chunk.slots.push(Some(KObject {
             id,
             info,
             frame,
             allocated_at: now,
         }));
+        chunk.live += 1;
         self.live += 1;
         id
     }
 
+    /// The slot of `id`, if its chunk is still allocated.
+    fn slot_mut(&mut self, id: ObjectId) -> Option<(&mut Chunk, usize)> {
+        let id = id.0 as usize;
+        let chunk = self.chunks.get_mut(id / CHUNK)?;
+        (id % CHUNK < chunk.slots.len()).then_some((chunk, id % CHUNK))
+    }
+
     /// Removes an object, returning its record.
     pub fn remove(&mut self, id: ObjectId) -> Option<KObject> {
-        let obj = self.slots.get_mut(id.0 as usize)?.take();
-        if obj.is_some() {
-            self.live -= 1;
+        let (chunk, i) = self.slot_mut(id)?;
+        let obj = chunk.slots[i].take()?;
+        chunk.live -= 1;
+        if chunk.live == 0 && chunk.slots.len() == CHUNK {
+            chunk.slots = Vec::new();
         }
-        obj
+        self.live -= 1;
+        Some(obj)
     }
 
     /// Re-associates an object with an inode (late socket demux on the
     /// ingress path, paper §4.2.3). Returns the updated record.
     pub fn set_inode(&mut self, id: ObjectId, inode: InodeId) -> Option<&KObject> {
-        let obj = self.slots.get_mut(id.0 as usize)?.as_mut()?;
+        let (chunk, i) = self.slot_mut(id)?;
+        let obj = chunk.slots[i].as_mut()?;
         obj.info.inode = Some(inode);
         Some(obj)
     }
 
     /// Looks up an object.
     pub fn get(&self, id: ObjectId) -> Option<&KObject> {
-        self.slots.get(id.0 as usize)?.as_ref()
+        let id = id.0 as usize;
+        self.chunks.get(id / CHUNK)?.slots.get(id % CHUNK)?.as_ref()
     }
 
     /// Number of live objects.
@@ -305,7 +341,7 @@ impl ObjectTable {
 
     /// Iterates over all live objects in id order.
     pub fn iter(&self) -> impl Iterator<Item = &KObject> {
-        self.slots.iter().flatten()
+        self.chunks.iter().flat_map(|c| c.slots.iter().flatten())
     }
 }
 
@@ -381,5 +417,78 @@ mod tests {
         t.remove(a);
         let b = t.insert(info, FrameId(0), Nanos::ZERO);
         assert_ne!(a, b, "ids must never be reused");
+    }
+
+    fn bio() -> ObjectInfo {
+        ObjectInfo {
+            ty: KernelObjectType::Bio,
+            size: 200,
+            inode: None,
+        }
+    }
+
+    #[test]
+    fn object_ids_stay_monotone_across_chunks() {
+        let mut t = ObjectTable::new();
+        let ids: Vec<u64> = (0..CHUNK as u64 + 5)
+            .map(|n| t.insert(bio(), FrameId(n), Nanos::ZERO).0)
+            .collect();
+        let want: Vec<u64> = (0..CHUNK as u64 + 5).collect();
+        assert_eq!(ids, want);
+        assert_eq!(t.len(), CHUNK + 5);
+        let frame = t.get(ObjectId(CHUNK as u64 + 1)).map(|o| o.frame);
+        assert_eq!(frame, Some(FrameId(CHUNK as u64 + 1)));
+    }
+
+    #[test]
+    fn fully_dead_chunks_are_freed() {
+        let mut t = ObjectTable::new();
+        for n in 0..2 * CHUNK as u64 + 3 {
+            t.insert(bio(), FrameId(n), Nanos::ZERO);
+        }
+        // Kill all of chunk 0 and all but one object of chunk 1.
+        for n in 0..2 * CHUNK as u64 - 1 {
+            assert!(t.remove(ObjectId(n)).is_some());
+        }
+        assert!(t.chunks[0].slots.is_empty(), "dead chunk freed");
+        assert_eq!(t.chunks[0].slots.capacity(), 0);
+        assert_eq!(t.chunks[1].slots.len(), CHUNK, "a live id keeps its chunk");
+        assert_eq!(t.len(), 4);
+        // Lookups into the freed chunk miss cleanly.
+        assert!(t.get(ObjectId(3)).is_none());
+        assert!(t.set_inode(ObjectId(3), InodeId(9)).is_none());
+        assert!(t.remove(ObjectId(3)).is_none());
+        assert_eq!(t.len(), 4);
+        // The partly filled tail chunk is never freed, even when empty.
+        for n in 2 * CHUNK as u64..2 * CHUNK as u64 + 3 {
+            t.remove(ObjectId(n));
+        }
+        assert_eq!(t.chunks[2].slots.len(), 3);
+        assert_eq!(t.len(), 1);
+        let next = t.insert(bio(), FrameId(0), Nanos::ZERO);
+        assert_eq!(next, ObjectId(2 * CHUNK as u64 + 3), "ids keep counting");
+        assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn iteration_is_in_id_order_across_chunks() {
+        let mut t = ObjectTable::new();
+        for n in 0..3 * CHUNK as u64 {
+            t.insert(bio(), FrameId(n), Nanos::ZERO);
+        }
+        // Free chunk 1 entirely and every other object elsewhere.
+        for n in 0..3 * CHUNK as u64 {
+            if n / CHUNK as u64 == 1 || n % 2 == 0 {
+                t.remove(ObjectId(n));
+            }
+        }
+        let ids: Vec<u64> = t.iter().map(|o| o.id.0).collect();
+        let want: Vec<u64> = (0..3 * CHUNK as u64)
+            .filter(|n| n / CHUNK as u64 != 1 && n % 2 == 1)
+            .collect();
+        assert_eq!(ids, want);
+        assert_eq!(t.len(), want.len());
+        let set = t.set_inode(ObjectId(1), InodeId(4)).map(|o| o.info.inode);
+        assert_eq!(set, Some(Some(InodeId(4))));
     }
 }

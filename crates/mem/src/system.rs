@@ -1388,7 +1388,10 @@ mod tests {
         // The drained frames stay readable from their new home.
         assert!(m.read(a, 64) > Nanos::ZERO);
         // Nothing left to drain: further passes are no-ops.
-        assert_eq!(m.drain_offline(128, Nanos::new(1_000), Nanos::new(8_000)), 0);
+        assert_eq!(
+            m.drain_offline(128, Nanos::new(1_000), Nanos::new(8_000)),
+            0
+        );
         assert_eq!(m.drain_stats().passes, 1);
     }
 

@@ -159,9 +159,13 @@ impl KlocPolicy {
         if seen.iter().filter(|s| **s).count() < 2 {
             return None;
         }
-        [QosClass::BestEffort, QosClass::Burstable, QosClass::Guaranteed]
-            .into_iter()
-            .find(|q| seen[*q as usize])
+        [
+            QosClass::BestEffort,
+            QosClass::Burstable,
+            QosClass::Guaranteed,
+        ]
+        .into_iter()
+        .find(|q| seen[*q as usize])
     }
 
     /// The KLOC registry.

@@ -227,11 +227,16 @@ fn run(
     if which == "chaos" {
         #[cfg(feature = "kfault")]
         {
-            eprintln!("[chaos soak at scale {} (drain + faults + resize)...]", scale.label);
+            eprintln!(
+                "[chaos soak at scale {} (drain + faults + resize)...]",
+                scale.label
+            );
             let report = kloc_sim::chaos::run(scale)?;
             print!("{}", report.render());
             if report.breaches() > 0 {
-                return Err(format!("chaos soak found {} SLO breach(es)", report.breaches()).into());
+                return Err(
+                    format!("chaos soak found {} SLO breach(es)", report.breaches()).into(),
+                );
             }
             return Ok(());
         }

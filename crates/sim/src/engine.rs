@@ -264,6 +264,7 @@ impl KsanState {
         kernel.ksan_audit(mem, &mut out);
         if let Some(reg) = policy.registry() {
             reg.ksan_audit(&mut out);
+            reg.ksan_audit_dues(mem, &mut out);
         }
         self.clock.observe(mem.now(), &mut out);
         kloc_mem::ksan::enforce(context, &out);
@@ -489,7 +490,12 @@ pub fn run_with(config: &RunConfig, mut policy: Box<dyn Policy>) -> Result<RunRe
             let applied = {
                 let mut ctx = Ctx::new(&mut mem, policy.as_mut());
                 ctx.socket = task_socket;
-                kernel.resize_tenant_budget(&mut ctx, ev.tenant, ev.pc_budget, ev.fast_budget_frames)?
+                kernel.resize_tenant_budget(
+                    &mut ctx,
+                    ev.tenant,
+                    ev.pc_budget,
+                    ev.fast_budget_frames,
+                )?
             };
             if applied {
                 let (old_pc, old_fast) = before.unwrap_or((None, None));

@@ -1,9 +1,14 @@
 //! kfault integration: the crash-recovery sweep is clean end-to-end,
-//! faultless runs are unaffected by the compiled-in machinery, and
-//! seeded fault plans are deterministic and visible in the report.
+//! faultless runs are unaffected by the compiled-in machinery, seeded
+//! fault plans are deterministic and visible in the report, and a tier
+//! drain cannot hide members from the KLOC demotion walk.
 //! Compiled only with `--features kfault` (see Cargo.toml).
 
-use kloc_mem::{FaultPlan, Nanos};
+use kloc_core::{KlocConfig, KlocRegistry};
+use kloc_kernel::hooks::CpuId;
+use kloc_kernel::vfs::InodeId;
+use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
+use kloc_mem::{FaultPlan, MemorySystem, Nanos, PageKind, TierFaultKind, TierId, PAGE_SIZE};
 use kloc_policy::PolicyKind;
 use kloc_sim::crashsweep;
 use kloc_sim::engine::{self, RunConfig};
@@ -73,4 +78,49 @@ fn transient_disk_faults_do_not_change_the_outcome() {
     assert_eq!(faulted.kernel.cache_hits, plain.kernel.cache_hits);
     assert_eq!(faulted.io_errors, 2);
     assert_eq!(faulted.io_retries, 2);
+}
+
+#[test]
+fn members_drained_into_fast_memory_are_demoted_after_the_window() {
+    // The slow tier goes offline for [10 ms, 20 ms): the drain moves
+    // its frames into the only healthy tier, the fast one, without
+    // telling the registry.
+    let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
+    mem.set_fault_plan(FaultPlan::new().with_tier_fault(
+        TierId::SLOW,
+        TierFaultKind::Offline,
+        Nanos::from_millis(10),
+        Some(Nanos::from_millis(20)),
+    ));
+    let mut reg = KlocRegistry::new(KlocConfig::default());
+    let ino = InodeId(1);
+    reg.inode_created(ino, CpuId(0), Nanos::ZERO);
+    let info = ObjectInfo {
+        ty: KernelObjectType::PageCache,
+        size: PAGE_SIZE,
+        inode: Some(ino),
+    };
+    let frames: Vec<_> = (0..4)
+        .map(|n| {
+            let f = mem.allocate(TierId::SLOW, PageKind::PageCache).unwrap();
+            reg.object_allocated(ObjectId(n), &info, f, CpuId(0), Nanos::ZERO);
+            f
+        })
+        .collect();
+    let idle = Nanos::from_millis(1);
+    // Cold members parked in slow memory: the walk stamps them settled.
+    mem.charge(Nanos::from_millis(2));
+    assert_eq!(reg.demote_cold_members(ino, &mut mem, idle, u64::MAX), 0);
+
+    mem.charge(Nanos::from_millis(9));
+    let drained = mem.drain_offline(64, Nanos::new(1_000), Nanos::new(8_000));
+    assert_eq!(drained, 4);
+    assert!(frames.iter().all(|&f| mem.tier_of(f) == TierId::FAST));
+
+    // After the window, a walk must see them as a full probe would:
+    // cold, fast and movable.
+    mem.charge(Nanos::from_millis(10));
+    assert!(!mem.tier_fault_active());
+    assert_eq!(reg.demote_cold_members(ino, &mut mem, idle, u64::MAX), 4);
+    assert!(frames.iter().all(|&f| mem.tier_of(f) == TierId::SLOW));
 }
